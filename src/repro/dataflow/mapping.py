@@ -165,7 +165,7 @@ class LayerMapping:
 
     def tile_dims(self, layer: Layer) -> Dict[str, int]:
         """Loop bounds of one energy-cycle tile (largest chunk)."""
-        dims = dict(layer.dims())
+        dims = layer.dims().copy()  # a plain dict, even from a read-only view
         dims[self.tile_dim] = self.tile_chunk(layer)
         if self.secondary_dim is not None:
             dims[self.secondary_dim] = self.secondary_chunk(layer)

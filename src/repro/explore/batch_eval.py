@@ -7,16 +7,20 @@ numpy sweeps instead of one-candidate-at-a-time Python:
 
 * genomes are grouped by their :class:`InferenceDesign` projection, so
   hardware is built once per distinct accelerator configuration;
-* the SW-level mapping search is replaced by a per-layer *rung table* —
-  every ``(style, tile_dim, spatial_dim, N_tile)`` candidate the scalar
-  :class:`~repro.explore.mapper_search.MappingOptimizer` could ever
-  visit, priced once per hardware via
+* the SW-level mapping search is replaced by lazy per-layer *rung
+  tables*.  Each ``(style, tile_dim, spatial_dim)`` combo of a layer
+  has one candidate *ladder* — the ``N_tile`` rungs the scalar
+  :class:`~repro.explore.mapper_search.MappingOptimizer` scans in order
+  — built once per layer, since it depends only on the layer and the
+  mapper.  A table, kept per hardware and reused across generations,
+  holds only each ladder's *priced prefix*;
+* the scan advances a hardware group rung by rung, like the scalar
+  scan: each step prices the next rung of only those ladders where some
+  genome of the group has no feasible rung yet, with one
   :meth:`~repro.dataflow.cost_model.DataflowCostModel.layer_cost_batch`
-  and reused across generations (the candidate ladder only depends on
-  the layer, not on the energy design);
-* per generation, Eq. 8 feasibility and the first-feasible /
-  lowest-energy selection run as boolean/argmin array operations over
-  ``genomes x rungs``;
+  call per layer covering every pending ladder.  Eq. 8 feasibility,
+  first-feasible tracking and the lowest-energy selection run as
+  boolean/argmin array operations over ``genomes x ladders``;
 * whole-design pricing goes through
   :class:`~repro.sim.analytical.BatchAnalyticalModel`, one call per
   environment for the entire generation, followed by the paper's
@@ -32,10 +36,10 @@ batched models.  The scalar path stays available as the oracle: any
 drops the affected genomes back to ``BilevelExplorer.compute_outcome``
 (counted in ``SearchStats.scalar_fallbacks``).
 
-Layer-cost cache *totals* differ from the serial mode by design: the
-rung tables price whole ladders up front (a superset of the rungs the
-lazy scalar scan visits) and then reuse them without re-probing, so the
-batched mode reports far fewer cache events for the same search.
+A rung is priced only when some genome's scalar scan would visit it,
+so the batched mode misses the layer-cost cache on no more rungs than
+the serial mode for the same genomes.  Cache *hits* differ by design:
+the tables answer repeat visits without probing the cache at all.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -70,25 +74,89 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class _RungTable:
-    """Every mapping candidate of one layer on one hardware, priced.
+@dataclass(frozen=True)
+class _Ladders:
+    """Every candidate ladder of one layer, independent of hardware.
 
-    ``slices`` delimits one ``(style, tile_dim, spatial_dim)`` combo per
-    entry, in the scalar scan's iteration order (styles outer, dim pairs
-    inner); within a combo the rungs follow the scalar geometric ladder
+    One ladder per ``(style, tile_dim, spatial_dim)`` combo, in the
+    scalar scan's iteration order (styles outer, dim pairs inner);
+    within a ladder the rungs follow the scalar geometric sequence
     (primary ``N_tile`` doubling, then the secondary-dimension split).
-    ``score`` is the combo-selection score of each rung — the mean
-    layer energy over the configured environments, accumulated exactly
-    like ``MappingOptimizer._mean_energy``.
     """
 
-    mappings: List[LayerMapping]
-    costs: List[LayerCost]
-    tile_energy: np.ndarray
-    tile_time: np.ndarray
-    score: np.ndarray
-    slices: List[Tuple[int, int]]
+    rungs: Tuple[Tuple[LayerMapping, ...], ...]
+    lengths: np.ndarray
+
+
+class _RungTable:
+    """The priced prefix of every ladder of one layer on one hardware.
+
+    Row ``c`` is ladder ``c``; column ``k`` its rung ``k``.  Only the
+    first ``priced[c]`` columns of a row hold values (the rest are NaN,
+    which no feasibility test accepts).  ``limit[c]`` is how many rungs
+    the ladder can ever price: its length, or the index of the first
+    rung whose pricing raised :class:`~repro.errors.MappingError` — the
+    scalar scan skips a combo once it reaches such a rung, exactly as
+    when it runs off the end of the ladder.  ``score`` is each rung's
+    combo-selection score: the mean layer energy over the configured
+    environments, accumulated like ``MappingOptimizer._mean_energy``.
+    """
+
+    def __init__(self, ladders: _Ladders) -> None:
+        self.ladders = ladders
+        combos = len(ladders.rungs)
+        width = int(ladders.lengths.max()) if combos else 0
+        self.tile_energy = np.full((combos, width), np.nan)
+        self.tile_time = np.full((combos, width), np.nan)
+        self.score = np.full((combos, width), np.nan)
+        self.priced = np.zeros(combos, dtype=np.int64)
+        self.limit = ladders.lengths.copy()
+
+    def extend(self, cost_model: DataflowCostModel, layer: Layer,
+               combos: np.ndarray, n_env: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Price the next rung of each ladder in ``combos``, in one call.
+
+        Returns ``(combos, columns, tile_energy, tile_time)`` of the
+        rungs priced.  A combo whose rung raises :class:`MappingError`
+        ends its ladder there instead; the call is then repeated combo
+        by combo so that the others are still priced (those repeats
+        probe the layer-cost cache a second time).
+        """
+        columns = self.priced[combos]
+        rungs = [self.ladders.rungs[c][k]
+                 for c, k in zip(combos.tolist(), columns.tolist())]
+        try:
+            costs = cost_model.layer_cost_batch(layer, rungs)
+        except MappingError:
+            alone = [_price_alone(cost_model, layer, rung) for rung in rungs]
+            ended = [i for i, cost in enumerate(alone) if cost is None]
+            kept = [i for i, cost in enumerate(alone) if cost is not None]
+            self.limit[combos[ended]] = columns[ended]
+            combos, columns = combos[kept], columns[kept]
+            costs = [alone[i] for i in kept]
+        tile_energy = np.array([cost.tile.energy for cost in costs])
+        tile_time = np.array([cost.tile.total_time for cost in costs])
+        energy = np.array([cost.energy for cost in costs])
+        total = np.zeros(len(costs))
+        for _ in range(n_env):  # _mean_energy's accumulation, elementwise
+            total = total + energy
+        self.tile_energy[combos, columns] = tile_energy
+        self.tile_time[combos, columns] = tile_time
+        self.score[combos, columns] = total / n_env
+        self.priced[combos] = columns + 1
+        return combos, columns, tile_energy, tile_time
+
+
+def _price_alone(cost_model: DataflowCostModel, layer: Layer,
+                 rung: LayerMapping) -> Optional[LayerCost]:
+    """One rung's cost, or ``None`` when its combo cannot be priced."""
+    try:
+        return cost_model.layer_cost_batch(layer, [rung])[0]
+    except MappingError as error:
+        logger.debug("skipping %s %s/%s on %s: %s", rung.style.value,
+                     rung.tile_dim, rung.spatial_dim, layer.name, error)
+        return None
 
 
 class VectorizedGenomeEvaluator:
@@ -107,10 +175,13 @@ class VectorizedGenomeEvaluator:
         self._seed_mappings = tuple(
             LayerMapping.default(layer) for layer in self.network
         )
-        #: Rung tables keyed by :class:`InferenceDesign` — one list of
-        #: per-layer tables per distinct hardware, reused across
-        #: generations.
-        self._tables: Dict[object, List[_RungTable]] = {}
+        #: Every layer's ladders, built on the first scan: a search
+        #: whose projections all hit the mapper memo needs none.
+        self._ladders: Optional[List[_Ladders]] = None
+        #: Rung tables keyed by :class:`InferenceDesign` — the hardware's
+        #: cost model and one table per layer, reused across generations.
+        self._tables: Dict[object, Tuple[DataflowCostModel,
+                                         List[_RungTable]]] = {}
 
     # -- BatchEvaluator protocol ---------------------------------------------
 
@@ -369,9 +440,11 @@ class VectorizedGenomeEvaluator:
         environment; within each (style, dims) combo the first feasible
         ladder rung wins; across combos the lowest mean energy wins with
         strict-``<`` (first combo in scan order on ties).  A layer with
-        no usable rung makes the design unmappable (``None``).
+        no usable rung makes the design unmappable (``None``), and —
+        as in the scalar scan — the design asks for no rung of any
+        later layer.
         """
-        tables = self._tables_for(inference)
+        cost_model, tables = self._tables_for(inference)
         count = len(designs)
         n_env = len(self.environments)
         stored = np.empty(count)
@@ -386,105 +459,132 @@ class VectorizedGenomeEvaluator:
                 pmic.v_on**2 - pmic.v_off**2)
             buck[g] = pmic.buck_efficiency
             leak = energy.k_cap * energy.capacitance_f * pmic.v_on**2
+            panel = energy.build_panel()
             for e, environment in enumerate(self.environments):
-                p_eh = energy.build_panel().power(environment.k_eh)
+                p_eh = panel.power(environment.k_eh)
                 net[e, g] = pmic.charge_power(p_eh) - leak
 
-        results: List[Optional[List[LayerMapping]]] = [
-            [] for _ in range(count)]
-        for table in tables:
-            rungs = len(table.mappings)
-            if rungs == 0:
-                # No valid (style, dims) combo at all: the layer is
-                # unmappable on this hardware for every energy design.
-                return [None] * count
-            tile_time = table.tile_time[None, :]
-            tile_energy = table.tile_energy[None, :]
-            feasible = np.ones((count, rungs), dtype=bool)
-            for e in range(n_env):
-                available = (stored[:, None] + np.maximum(
-                    net[e][:, None] * tile_time, 0.0)) * buck[:, None]
-                feasible &= tile_energy <= available
-            best_score = np.full(count, math.inf)
-            best_rung = np.full(count, -1, dtype=np.int64)
-            for start, end in table.slices:
-                window = feasible[:, start:end]
-                usable = window.any(axis=1)
-                if not usable.any():
-                    continue
-                first = np.argmax(window, axis=1) + start
-                score = np.where(usable, table.score[first], math.inf)
-                better = score < best_score
-                best_score = np.where(better, score, best_score)
-                best_rung = np.where(better, first, best_rung)
-            for g in range(count):
-                row = results[g]
-                if row is None:
-                    continue
-                rung = int(best_rung[g])
-                if rung < 0:
-                    results[g] = None
-                else:
-                    row.append(table.mappings[rung])
-        return [tuple(row) if row is not None else None for row in results]
+        results: List[List[LayerMapping]] = [[] for _ in range(count)]
+        alive = np.arange(count)
+        budget = (stored, buck, net)
+        for layer, table in zip(self.network, tables):
+            first = self._first_feasible(table, cost_model, layer, budget)
+            combo, rung = _select(table, first)
+            mapped = combo >= 0
+            if not mapped.all():
+                alive = alive[mapped]
+                combo, rung = combo[mapped], rung[mapped]
+                budget = (budget[0][mapped], budget[1][mapped],
+                          budget[2][:, mapped])
+            rungs = table.ladders.rungs
+            for g, c, k in zip(alive.tolist(), combo.tolist(),
+                               rung.tolist()):
+                results[g].append(rungs[c][k])
+            if not alive.size:
+                break
+        mappable = set(alive.tolist())
+        return [tuple(results[g]) if g in mappable else None
+                for g in range(count)]
 
-    def _tables_for(self, inference: object) -> List[_RungTable]:
-        tables = self._tables.get(inference)
-        if tables is None:
+    def _first_feasible(self, table: _RungTable,
+                        cost_model: DataflowCostModel, layer: Layer,
+                        budget: Tuple[np.ndarray, np.ndarray, np.ndarray]
+                        ) -> np.ndarray:
+        """First feasible rung per ``(genome, ladder)``, ``-1`` if none.
+
+        The already-priced prefix is tested for every genome at once;
+        then the ladders some genome still needs advance one rung per
+        step, one merged pricing call per step, until every genome has
+        a feasible rung on every ladder or the ladder has ended.
+        """
+        n_env = len(self.environments)
+        combos = len(table.ladders.rungs)
+        first = np.full((len(budget[0]), combos), -1, dtype=np.int64)
+        width = int(table.priced.max()) if combos else 0
+        if width:
+            ok = _feasible(budget, table.tile_energy[:, :width],
+                           table.tile_time[:, :width])
+            found = ok.any(axis=2)
+            first = np.where(found, ok.argmax(axis=2), first)
+        while True:
+            need = (first < 0) & (table.priced < table.limit)
+            pending = np.flatnonzero(need.any(axis=0))
+            if not pending.size:
+                return first
+            pending, columns, tile_energy, tile_time = table.extend(
+                cost_model, layer, pending, n_env)
+            hit = _feasible(budget, tile_energy, tile_time) & need[:, pending]
+            first[:, pending] = np.where(hit, columns, first[:, pending])
+
+    def _tables_for(self, inference: object
+                    ) -> Tuple[DataflowCostModel, List[_RungTable]]:
+        entry = self._tables.get(inference)
+        if entry is None:
+            if self._ladders is None:
+                mapper = self.explorer.mapper
+                self._ladders = [_layer_ladders(mapper, layer)
+                                 for layer in self.network]
             hardware = inference.build()  # type: ignore[attr-defined]
             checkpoint = self.explorer.checkpoint or CheckpointModel(
                 nvm=hardware.nvm.technology
             )
-            cost_model = DataflowCostModel(hardware, checkpoint)
-            tables = [self._build_table(cost_model, layer)
-                      for layer in self.network]
-            self._tables[inference] = tables
-        return tables
-
-    def _build_table(self, cost_model: DataflowCostModel,
-                     layer: Layer) -> _RungTable:
-        """Price every candidate the scalar scan could visit, once."""
-        mapper = self.explorer.mapper
-        dims = layer.dims()
-        mappings: List[LayerMapping] = []
-        costs: List[LayerCost] = []
-        slices: List[Tuple[int, int]] = []
-        for style in mapper.styles:
-            for tile_dim, spatial_dim in mapper._dim_pairs(layer):
-                # Pricing errors are n_tiles-independent (style/layer
-                # geometry), so one failure invalidates the whole combo
-                # — the same corner _best_for_layer skips.
-                try:
-                    ladder = _ladder(mapper, dims, style, tile_dim,
-                                     spatial_dim)
-                    priced = cost_model.layer_cost_batch(layer, ladder)
-                except MappingError as error:
-                    logger.debug(
-                        "skipping %s %s/%s on %s: %s", style.value,
-                        tile_dim, spatial_dim, layer.name, error)
-                    continue
-                start = len(mappings)
-                mappings.extend(ladder)
-                costs.extend(priced)
-                slices.append((start, len(mappings)))
-        scores: List[float] = []
-        for cost in costs:
-            total = 0.0  # _mean_energy's accumulation, verbatim
-            for _ in range(len(self.environments)):
-                total += cost.energy
-            scores.append(total / len(self.environments))
-        return _RungTable(
-            mappings=mappings,
-            costs=costs,
-            tile_energy=np.array([cost.tile.energy for cost in costs]),
-            tile_time=np.array([cost.tile.total_time for cost in costs]),
-            score=np.array(scores),
-            slices=slices,
-        )
+            entry = (DataflowCostModel(hardware, checkpoint),
+                     [_RungTable(ladders) for ladders in self._ladders])
+            self._tables[inference] = entry
+        return entry
 
 
-def _ladder(mapper, dims: Dict[str, int], style, tile_dim: str,
-            spatial_dim: str) -> List[LayerMapping]:
+def _feasible(budget: Tuple[np.ndarray, np.ndarray, np.ndarray],
+              tile_energy: np.ndarray, tile_time: np.ndarray) -> np.ndarray:
+    """Eq. 8 in every environment: ``genomes x tile_energy.shape``.
+
+    ``budget`` is ``(stored, buck, net)``: per genome the usable stored
+    energy and buck efficiency, and per environment and genome the net
+    charging power — the terms ``AnalyticalModel.tile_feasible`` uses.
+    """
+    stored, buck, net = budget
+    spread = (...,) + (None,) * tile_energy.ndim
+    available = (stored[spread] + np.maximum(net[spread] * tile_time, 0.0)
+                 ) * buck[spread]
+    return (tile_energy <= available).all(axis=0)
+
+
+def _select(table: _RungTable, first: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ladder, rung)`` per genome: lowest score, first ladder on ties.
+
+    ``argmin`` returns the first minimum, which is the scalar scan's
+    strict-``<`` choice; a genome whose best score is not below
+    ``inf`` has no usable rung (ladder ``-1``).
+    """
+    count, combos = first.shape
+    found = first >= 0
+    if not found.any():
+        missing = np.full(count, -1, dtype=np.int64)
+        return missing, missing
+    rows = np.arange(combos)[None, :]
+    scores = np.where(found, table.score[rows, np.maximum(first, 0)],
+                      math.inf)
+    combo = scores.argmin(axis=1)
+    genomes = np.arange(count)
+    usable = scores[genomes, combo] < math.inf
+    return np.where(usable, combo, -1), first[genomes, combo]
+
+
+def _layer_ladders(mapper, layer: Layer) -> _Ladders:
+    """Every ladder of ``layer`` in the scalar scan's combo order."""
+    dims = layer.dims()
+    rungs = tuple(
+        _ladder(mapper, dims, style, tile_dim, spatial_dim)
+        for style in mapper.styles
+        for tile_dim, spatial_dim in mapper._dim_pairs(layer)
+    )
+    return _Ladders(rungs=rungs,
+                    lengths=np.array([len(r) for r in rungs], dtype=np.int64))
+
+
+def _ladder(mapper, dims: Mapping[str, int], style, tile_dim: str,
+            spatial_dim: str) -> Tuple[LayerMapping, ...]:
     """The exact rung sequence ``_min_feasible`` scans, materialized."""
     bound = dims[tile_dim]
     rungs: List[LayerMapping] = []
@@ -508,4 +608,4 @@ def _ladder(mapper, dims: Dict[str, int], style, tile_dim: str,
             if n2 >= bound2:
                 break
             n2 = min(n2 * 2, bound2)
-    return rungs
+    return tuple(rungs)

@@ -25,10 +25,12 @@ HAWAII and iNAS deploy).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Mapping, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -45,6 +47,31 @@ class LayerKind(Enum):
     POOL = "pool"
     MATMUL = "matmul"
     EMBEDDING = "embedding"
+
+
+#: Instance attribute holding a layer's memoized :meth:`Layer.dims`.
+#: Not a dataclass field, so ``__eq__``, ``__hash__``, ``repr`` and
+#: serialization never see it; :meth:`Layer.__getstate__` keeps it out
+#: of pickles.
+_DIMS_MEMO = "_dims_memo"
+
+
+def _memoized_dims(build: Callable[["Layer"], Dict[str, int]]
+                   ) -> Callable[["Layer"], Mapping[str, int]]:
+    """Build a layer's loop bounds once; return them read-only.
+
+    Layers are frozen, so the bounds never change; the search asks for
+    them hundreds of thousands of times.  The wrapper stays a plain
+    function defined on each layer class.
+    """
+    @functools.wraps(build)
+    def dims(self: "Layer") -> Mapping[str, int]:
+        memo = self.__dict__.get(_DIMS_MEMO)
+        if memo is None:
+            memo = MappingProxyType(build(self))
+            object.__setattr__(self, _DIMS_MEMO, memo)
+        return memo
+    return dims
 
 
 def _conv_out(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -81,9 +108,14 @@ class Layer:
     def kind(self) -> LayerKind:
         raise NotImplementedError
 
-    def dims(self) -> Dict[str, int]:
-        """The six loop bounds of the iteration space."""
+    def dims(self) -> Mapping[str, int]:
+        """The six loop bounds of the iteration space (read-only)."""
         raise NotImplementedError
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop(_DIMS_MEMO, None)
+        return state
 
     @property
     def input_shape(self) -> Tuple[int, ...]:
@@ -185,6 +217,7 @@ class Conv2D(Layer):
     def out_width(self) -> int:
         return _conv_out(self.in_width, self._kernel_w, self.stride, self._padding_w)
 
+    @_memoized_dims
     def dims(self) -> Dict[str, int]:
         return {
             "K": self.out_channels,
@@ -241,6 +274,7 @@ class DepthwiseConv2D(Layer):
     def out_width(self) -> int:
         return _conv_out(self.in_width, self.kernel, self.stride, self.padding)
 
+    @_memoized_dims
     def dims(self) -> Dict[str, int]:
         # No channel contraction: C = 1 in the MAC product, K spans channels.
         return {
@@ -290,6 +324,7 @@ class Dense(Layer):
     def kind(self) -> LayerKind:
         return LayerKind.DENSE
 
+    @_memoized_dims
     def dims(self) -> Dict[str, int]:
         return {
             "K": self.out_features,
@@ -342,6 +377,7 @@ class Pool2D(Layer):
     def out_width(self) -> int:
         return _conv_out(self.in_width, self.kernel, self.stride, 0)
 
+    @_memoized_dims
     def dims(self) -> Dict[str, int]:
         return {
             "K": self.channels,
@@ -393,6 +429,7 @@ class MatMul(Layer):
     def kind(self) -> LayerKind:
         return LayerKind.MATMUL
 
+    @_memoized_dims
     def dims(self) -> Dict[str, int]:
         return {
             "K": self.out_features,
@@ -447,6 +484,7 @@ class Embedding(Layer):
     def kind(self) -> LayerKind:
         return LayerKind.EMBEDDING
 
+    @_memoized_dims
     def dims(self) -> Dict[str, int]:
         # No compute: a degenerate iteration space.
         return {"K": 1, "C": 1, "R": 1, "S": 1, "Y": self.tokens, "X": 1}

@@ -8,13 +8,19 @@ float field, not approx), feasible and infeasible candidates alike.
 """
 
 import math
+import random
 
 import pytest
 
 from repro import evaluate, evaluate_batch
+from repro.dataflow import cost_model
+from repro.dataflow.cost_model import (clear_layer_cost_cache,
+                                       layer_cost_cache_stats)
+from repro.dataflow.directives import DataflowStyle
+from repro.dataflow.mapping import LayerMapping
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MappingError
 from repro.explore.bilevel import BilevelExplorer
 from repro.explore.ga import GAConfig
 from repro.explore.batch_eval import VectorizedGenomeEvaluator
@@ -264,3 +270,142 @@ class TestBatchedMapperMemo:
         assert mapper_memo_stats() == serial_stats
         hits, _misses = mapper_memo_stats()
         assert hits > 0  # the duplicate genome is a (counted) hit
+
+
+def future_explorer(workload, **overrides):
+    params = dict(population_size=6, generations=2, seed=0)
+    params.update(overrides)
+    return BilevelExplorer(
+        network=zoo.workload_by_name(workload),
+        space=DesignSpace.future_aut(),
+        objective=Objective.lat_sp(),
+        ga_config=GAConfig(**params),
+    )
+
+
+def cold_run(explorer):
+    """A search from empty process-wide caches, like a fresh CLI run."""
+    clear_layer_cost_cache()
+    clear_mapper_memo()
+    return explorer.run()
+
+
+class TestBatchedSearchIdentityFutureSpace:
+    """On the future space nearly every genome is new hardware, so every
+    rung table starts empty and the lazy advance does all the pricing."""
+
+    @pytest.mark.parametrize("workload", ["mobilenet", "resnet18", "bert"])
+    def test_batched_search_matches_serial(self, workload):
+        serial = cold_run(future_explorer(workload))
+        batched = cold_run(future_explorer(workload, batched=True))
+        assert_results_equal(serial, batched)
+        assert serial.stats.hw_evaluations == batched.stats.hw_evaluations
+        assert serial.stats.mapper_hits == batched.stats.mapper_hits
+        assert serial.stats.mapper_misses == batched.stats.mapper_misses
+        assert batched.stats.batched_genomes > 0
+        assert batched.stats.scalar_fallbacks == 0
+
+
+def _generation(explorer, size=6, seed=3):
+    rng = random.Random(seed)
+    return [explorer.space.sample(rng) for _ in range(size)]
+
+
+class TestLazyRungPricing:
+    def test_batched_misses_at_most_serial_on_future_space(self):
+        """Rungs are priced only where some genome's scalar scan would
+        visit them, so a generation misses the layer-cost cache no more
+        often than the serial path does on the same genomes."""
+        serial = future_explorer("resnet18")
+        genomes = _generation(serial)
+        clear_layer_cost_cache()
+        _, misses0 = layer_cost_cache_stats()
+        serial_scores = [serial.evaluate_genome(g) for g in genomes]
+        _, misses1 = layer_cost_cache_stats()
+
+        clear_layer_cost_cache()
+        clear_mapper_memo()
+        evaluator = VectorizedGenomeEvaluator(
+            future_explorer("resnet18", batched=True))
+        batched_scores = evaluator.evaluate_many(genomes)
+        _, misses2 = layer_cost_cache_stats()
+
+        assert batched_scores == serial_scores
+        assert any(math.isfinite(score) for score in serial_scores)
+        assert 0 < misses2 <= misses1 - misses0
+
+    def test_tabled_hardware_prices_nothing_again(self, monkeypatch):
+        """Re-evaluating a generation whose hardware is already tabled
+        (the existing space repeats its one MSP430) constructs no new
+        LayerCostBatch for the SW-level search, even from cold caches."""
+        explorer = make_explorer(batched=True)
+        genomes = _generation(explorer, size=8)
+        evaluator = VectorizedGenomeEvaluator(explorer)
+        first = evaluator.evaluate_many(genomes)
+        assert evaluator._tables
+
+        sweeps = []
+        scanning = []
+        original_init = cost_model.LayerCostBatch.__init__
+        original_scan = evaluator._scan
+
+        def counted_init(self, *args, **kwargs):
+            if scanning:
+                sweeps.append(self)
+            original_init(self, *args, **kwargs)
+
+        def flagged_scan(*args, **kwargs):
+            scanning.append(True)
+            try:
+                return original_scan(*args, **kwargs)
+            finally:
+                scanning.pop()
+
+        monkeypatch.setattr(cost_model.LayerCostBatch, "__init__",
+                            counted_init)
+        monkeypatch.setattr(evaluator, "_scan", flagged_scan)
+        clear_layer_cost_cache()
+        clear_mapper_memo()
+        again = evaluator.evaluate_many(genomes)
+        assert again == first
+        assert sweeps == []
+
+
+def _raise_for(style, from_n_tiles):
+    """A ``LayerMapping.tile_dims`` that rejects one style's rungs."""
+    original = LayerMapping.tile_dims
+    raised = []
+
+    def tile_dims(self, layer):
+        if self.style is style and self.n_tiles >= from_n_tiles:
+            raised.append(self)
+            raise MappingError(f"{style.value} rejected for this test")
+        return original(self, layer)
+
+    return tile_dims, raised
+
+
+class TestMappingErrorIsolation:
+    """A combo that raises inside a merged per-layer pricing call is
+    skipped alone — from the rung that raised on, exactly as the scalar
+    ``MappingOptimizer._best_for_layer`` skips it."""
+
+    @pytest.mark.parametrize("style,from_n_tiles", [
+        (DataflowStyle.WEIGHT_STATIONARY, 1),
+        (DataflowStyle.OUTPUT_STATIONARY, 2),
+        (DataflowStyle.INPUT_STATIONARY, 2),
+    ])
+    def test_batched_matches_serial_when_one_style_raises(
+            self, monkeypatch, style, from_n_tiles):
+        tile_dims, raised = _raise_for(style, from_n_tiles)
+        monkeypatch.setattr(LayerMapping, "tile_dims", tile_dims)
+        serial = cold_run(make_explorer())
+        assert raised
+        raised.clear()
+        batched = cold_run(make_explorer(batched=True))
+        assert raised
+        assert_results_equal(serial, batched)
+        assert serial.stats.mapper_hits == batched.stats.mapper_hits
+        assert serial.stats.mapper_misses == batched.stats.mapper_misses
+        assert batched.stats.scalar_fallbacks == 0
+        assert math.isfinite(batched.score)

@@ -1,5 +1,9 @@
 """Tests for the DNN layer intermediate representation."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -147,3 +151,50 @@ class TestValidation:
     def test_non_positive_dims_rejected(self, cls, kwargs):
         with pytest.raises(ConfigurationError):
             cls("bad", **kwargs)
+
+
+ONE_OF_EACH = [
+    Conv2D("c", in_channels=3, out_channels=16, in_height=8, in_width=8),
+    DepthwiseConv2D("dw", channels=8, in_height=8, in_width=8),
+    Dense("fc", in_features=32, out_features=10, batch=4),
+    Pool2D("p", channels=4, in_height=8, in_width=8),
+    MatMul("mm", contract=8, out_features=4, batch=2),
+    Embedding("e", vocab_size=100, hidden=16, tokens=8),
+]
+
+
+class TestDimsMemo:
+    """``dims()`` is built once per layer and handed out read-only."""
+
+    @pytest.mark.parametrize("layer", ONE_OF_EACH, ids=lambda layer: layer.name)
+    def test_returned_mapping_is_shared_and_read_only(self, layer):
+        dims = layer.dims()
+        assert layer.dims() is dims
+        with pytest.raises(TypeError):
+            dims["K"] = 999
+        with pytest.raises((TypeError, AttributeError)):
+            dims.pop("K")
+        assert layer.dims()["K"] == dims["K"]
+
+    @pytest.mark.parametrize("layer", ONE_OF_EACH, ids=lambda layer: layer.name)
+    def test_memo_invisible_to_equality_hash_and_pickle(self, layer):
+        fresh = dataclasses.replace(layer)
+        before = (fresh == layer, hash(fresh) == hash(layer), repr(layer),
+                  dataclasses.asdict(layer))
+        layer.dims()
+        assert "_dims_memo" in vars(layer)
+        assert "_dims_memo" not in vars(fresh)
+        assert (fresh == layer, hash(fresh) == hash(layer), repr(layer),
+                dataclasses.asdict(layer)) == before
+        assert fresh == layer and hash(fresh) == hash(layer)
+        for clone in (pickle.loads(pickle.dumps(layer)), copy.copy(layer),
+                      copy.deepcopy(layer)):
+            assert clone == layer
+            assert hash(clone) == hash(layer)
+            assert "_dims_memo" not in vars(clone)
+            assert dict(clone.dims()) == dict(layer.dims())
+        assert pickle.dumps(layer) == pickle.dumps(fresh)
+
+    def test_dims_is_defined_on_each_layer_class(self):
+        for layer in ONE_OF_EACH:
+            assert "dims" in vars(type(layer))
