@@ -55,7 +55,6 @@ import pathlib
 import signal
 import sys
 import time
-import warnings
 from typing import List, Optional
 
 from repro.campaign import (
@@ -106,32 +105,6 @@ from repro.serve import (
 )
 from repro.sim.report import render_faults_sweep
 from repro.workloads import zoo
-
-
-class _DeprecatedAlias(argparse.Action):
-    """``store`` that warns (once per alias) on deprecated spellings."""
-
-    def __init__(self, *args, deprecated_aliases=(), preferred=None,
-                 **kwargs):
-        super().__init__(*args, **kwargs)
-        self._deprecated = frozenset(deprecated_aliases)
-        self._preferred = preferred
-
-    _announced = set()  # (prog, option) pairs already printed to stderr
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if option_string in self._deprecated:
-            message = (f"{option_string} is deprecated; "
-                       f"use {self._preferred}")
-            # The warning is for programmatic callers (tests, scripts
-            # driving main()); the default filters hide it on a normal
-            # CLI invocation, so also say it once on stderr.
-            warnings.warn(message, DeprecationWarning, stacklevel=2)
-            key = (parser.prog, option_string)
-            if key not in self._announced:
-                self._announced.add(key)
-                print(f"warning: {message}", file=sys.stderr)
-        setattr(namespace, self.dest, values)
 
 
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
@@ -219,7 +192,7 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def write_solution_json(solution, path) -> pathlib.Path:
-    """Persist a solution as JSON — the one write path ``search --json``
+    """Persist a solution as JSON — the one write path ``search --output``
     and ``campaign run`` share (both go through ``repro.serialize``)."""
     path = pathlib.Path(path)
     path.write_text(solution_to_json(solution))
@@ -696,12 +669,9 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--surrogate-model", default=None, metavar="PATH",
                         help="warm-start from a model fitted by "
                              "'surrogate fit' (implies --surrogate)")
-    search.add_argument("--output", "--json", dest="output", default=None,
-                        metavar="PATH", action=_DeprecatedAlias,
-                        deprecated_aliases={"--json"}, preferred="--output",
+    search.add_argument("--output", default=None, metavar="PATH",
                         help="write the full solution as JSON "
-                             "(reloadable via repro.serialize); "
-                             "--json is a deprecated alias")
+                             "(reloadable via repro.serialize)")
     search.add_argument("--design-output", default=None,
                         help="write just the design (loadable via "
                              "--design) as JSON")

@@ -35,9 +35,10 @@ import numpy as np
 from repro.dataflow.directives import DataflowStyle
 from repro.dataflow.mapping import LayerMapping
 from repro.dataflow.tiling import halo_extent
-from repro.errors import ConfigurationError, MappingError
+from repro.errors import MappingError
 from repro.hardware.accelerators import AcceleratorConfig
 from repro.hardware.checkpoint import CheckpointModel, CheckpointStrategy
+from repro.memo import ContentMemo
 from repro.obs.state import OBS
 from repro.workloads.layers import Layer, LayerKind
 
@@ -54,169 +55,19 @@ _RESIDENT_CACHE_SHARE = 0.7
 _POOL_OP_ENERGY_SCALE = 0.3
 
 
-class _LayerCostCache:
-    """Process-local cache of :class:`LayerCost` results.
+#: Process-wide memo of :class:`LayerCost` results.  The bi-level
+#: explorer re-prices identical ``(hardware, checkpoint, layer,
+#: mapping)`` combinations millions of times: the SW-level mapping scan
+#: queries one model per environment (tile costs are
+#: environment-independent), and every genome sharing an inference
+#: configuration repeats the whole scan.  :class:`LayerCost` is frozen,
+#: so cached instances are safe to share.  Buckets are keyed by the
+#: ``(hardware, checkpoint)`` prefix, entries by ``(layer, mapping)``.
+LAYER_COSTS = ContentMemo("layer_cost", maxsize=65536)
 
-    The bi-level explorer re-prices identical ``(hardware, checkpoint,
-    layer, mapping)`` combinations millions of times: the SW-level
-    mapping scan queries one model per environment (tile costs are
-    environment-independent), and every genome sharing an inference
-    configuration repeats the whole scan.  :class:`LayerCost` is frozen,
-    so cached instances are safe to share.
-
-    The hit path must cost single-digit microseconds or it eats its own
-    savings, so the structure is two-level: each
-    :class:`DataflowCostModel` resolves its ``(hardware, checkpoint)``
-    prefix to a per-prefix dict once at construction, and every lookup
-    is then a single probe keyed by the raw ``(layer, mapping)`` pair.
-    The bound is enforced by flushing everything when the entry count
-    exceeds ``maxsize`` (at the default bound a realistic search never
-    gets there), which keeps per-hit bookkeeping at zero.
-    """
-
-    def __init__(self, maxsize: int = 65536) -> None:
-        self.maxsize = maxsize
-        self.enabled = True
-        self.hits = 0
-        self.misses = 0
-        self._size = 0
-        self._maps: Dict[tuple, Dict[tuple, LayerCost]] = {}
-        #: When a list, every organic insert is appended as a
-        #: ``(prefix, key, cost)`` entry — the journal parallel workers
-        #: drain per genome so the parent can merge their work back.
-        self.journal: Optional[list] = None
-
-    def map_for(self, prefix: tuple) -> Dict[tuple, "LayerCost"]:
-        """The per-prefix entry dict (created on first use)."""
-        entries = self._maps.get(prefix)
-        if entries is None:
-            entries = self._maps[prefix] = {}
-        return entries
-
-    def insert(self, prefix: tuple, entries: Dict[tuple, "LayerCost"],
-               key: tuple, cost: "LayerCost", record: bool = True) -> None:
-        """Insert one entry; journal it; flush if the bound is exceeded.
-
-        ``record=False`` is the seeding/merge path: entries shipped in
-        from another process must not re-enter this process's journal,
-        or workers would echo their seed back to the parent forever.
-        """
-        entries[key] = cost
-        self._size += 1
-        if record and self.journal is not None:
-            self.journal.append((prefix, key, cost))
-        if self._size > self.maxsize:
-            self._flush()
-
-    def _flush(self) -> None:
-        # Clear the per-prefix dicts in place so models holding a
-        # reference see the flush too.
-        for entries in self._maps.values():
-            entries.clear()
-        self._size = 0
-
-    def clear(self) -> None:
-        self._flush()
-        self._maps.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-
-_LAYER_COST_CACHE = _LayerCostCache()
-
-
-def configure_layer_cost_cache(enabled: Optional[bool] = None,
-                               maxsize: Optional[int] = None) -> None:
-    """Tune the process-wide layer-cost cache (bench/testing hook)."""
-    if maxsize is not None:
-        if maxsize < 1:
-            raise ConfigurationError(
-                f"layer-cost cache maxsize must be positive, got {maxsize}"
-            )
-        _LAYER_COST_CACHE.maxsize = maxsize
-    if enabled is not None:
-        _LAYER_COST_CACHE.enabled = enabled
-
-
-def clear_layer_cost_cache() -> None:
-    """Drop all entries and reset the hit/miss counters."""
-    _LAYER_COST_CACHE.clear()
-
-
-def layer_cost_cache_stats() -> Tuple[int, int]:
-    """``(hits, misses)`` of the process-wide layer-cost cache."""
-    return _LAYER_COST_CACHE.hits, _LAYER_COST_CACHE.misses
-
-
-def start_layer_cost_journal() -> None:
-    """Record every subsequent insert (worker-process hook).
-
-    Parallel workers keep the journal on for their whole lifetime and
-    drain it per genome, shipping the entries home inside the
-    :class:`~repro.explore.stats.GenomeOutcome`.
-    """
-    _LAYER_COST_CACHE.journal = []
-
-
-def drain_layer_cost_journal() -> Tuple[tuple, ...]:
-    """Return and clear the recorded inserts, keeping recording on."""
-    journal = _LAYER_COST_CACHE.journal
-    if not journal:
-        return ()
-    entries = tuple(journal)
-    journal.clear()
-    return entries
-
-
-def snapshot_layer_cost_entries() -> Tuple[tuple, ...]:
-    """Every cached entry as ``(prefix, key, cost)`` tuples.
-
-    Used to pre-seed worker processes at pool creation so a warm parent
-    cache (e.g. a second search in the same process) is not re-missed
-    once per worker.
-    """
-    cache = _LAYER_COST_CACHE
-    return tuple(
-        (prefix, key, cost)
-        for prefix, entries in cache._maps.items()
-        for key, cost in entries.items()
-    )
-
-
-def seed_layer_cost_cache(entries: Sequence[tuple]) -> None:
-    """Insert-if-absent without touching the hit/miss counters."""
-    cache = _LAYER_COST_CACHE
-    if not cache.enabled:
-        return
-    for prefix, key, cost in entries:
-        entry_map = cache.map_for(prefix)
-        if key not in entry_map:
-            cache.insert(prefix, entry_map, key, cost, record=False)
-
-
-def merge_layer_cost_entries(entries: Sequence[tuple]) -> int:
-    """Merge journal entries shipped back from a worker.
-
-    Returns how many of them the parent cache *already held* — each of
-    those was a genuine miss in the worker's private cache but would
-    have been a hit in a serial run, so the caller reclassifies exactly
-    that many misses as hits.  Merging outcomes in submission order
-    makes parallel hit/miss totals equal the serial run's, key for key.
-    """
-    cache = _LAYER_COST_CACHE
-    already_present = 0
-    if not cache.enabled:
-        return already_present
-    for prefix, key, cost in entries:
-        entry_map = cache.map_for(prefix)
-        if key in entry_map:
-            already_present += 1
-        else:
-            cache.insert(prefix, entry_map, key, cost, record=False)
-    return already_present
+configure_layer_cost_cache = LAYER_COSTS.configure
+clear_layer_cost_cache = LAYER_COSTS.clear
+layer_cost_cache_stats = LAYER_COSTS.stats
 
 
 @dataclass(frozen=True)
@@ -311,7 +162,7 @@ class DataflowCostModel:
         #: light environment, so the prefix deliberately omits it:
         #: models for different environments share entries.
         self._cache_prefix = (hardware.cache_key(), checkpoint)
-        self._cache_map = _LAYER_COST_CACHE.map_for(self._cache_prefix)
+        self._cache_map = LAYER_COSTS.bucket(self._cache_prefix)
 
     # -- public API -----------------------------------------------------------
 
@@ -324,7 +175,7 @@ class DataflowCostModel:
         """
         if OBS.profile:
             return self._layer_cost_profiled(layer, mapping)
-        cache = _LAYER_COST_CACHE
+        cache = LAYER_COSTS
         if not cache.enabled:
             return self._layer_cost_uncached(layer, mapping.clamped(layer))
         key = (layer, mapping)
@@ -348,7 +199,7 @@ class DataflowCostModel:
         measurable tax.
         """
         registry = OBS.registry
-        cache = _LAYER_COST_CACHE
+        cache = LAYER_COSTS
         start = _time.perf_counter()
         if not cache.enabled:
             cost = self._layer_cost_uncached(layer, mapping.clamped(layer))
@@ -392,7 +243,7 @@ class DataflowCostModel:
         mappings = list(mappings)
         if not mappings:
             return []
-        cache = _LAYER_COST_CACHE
+        cache = LAYER_COSTS
         if not cache.enabled:
             batch = LayerCostBatch(self.hardware, self.checkpoint, layer,
                                    [m.clamped(layer) for m in mappings])

@@ -52,12 +52,11 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.dataflow.cost_model import (DataflowCostModel, LayerCost,
-                                       layer_cost_cache_stats)
+from repro.dataflow.cost_model import LAYER_COSTS, DataflowCostModel, LayerCost
 from repro.dataflow.mapping import LayerMapping
 from repro.errors import ChrysalisError, EvaluationTimeout, MappingError
 from repro.explore.bilevel import _CANDIDATE_ERRORS
-from repro.explore.mapper_search import mapper_memo_enabled
+from repro.explore.mapper_search import MAPPINGS
 from repro.explore.space import Genome
 from repro.explore.stats import GenomeOutcome
 from repro.hardware.checkpoint import CheckpointModel
@@ -202,7 +201,7 @@ class VectorizedGenomeEvaluator:
     def _compute_outcomes(self, genomes: List[Genome]) -> List[GenomeOutcome]:
         explorer = self.explorer
         started = time.monotonic()
-        layer_hits0, layer_misses0 = layer_cost_cache_stats()
+        layer_hits0, layer_misses0 = LAYER_COSTS.stats()
         n = len(genomes)
         outcomes: List[Optional[GenomeOutcome]] = [None] * n
         fallback: List[int] = []
@@ -350,7 +349,7 @@ class VectorizedGenomeEvaluator:
         # activity (rung tables + final pricing) is attributed to the
         # first vectorized outcome — apply_outcome() only ever sums
         # these deltas, so totals are what matters.
-        layer_hits1, layer_misses1 = layer_cost_cache_stats()
+        layer_hits1, layer_misses1 = LAYER_COSTS.stats()
         layer_delta: Optional[Tuple[int, int]] = (
             layer_hits1 - layer_hits0, layer_misses1 - layer_misses0)
         for i in range(n):
@@ -395,7 +394,7 @@ class VectorizedGenomeEvaluator:
         genome is a miss and the scan result is merely shared.
         """
         explorer = self.explorer
-        memo_on = mapper_memo_enabled()
+        memo_on = MAPPINGS.enabled
         resolved: Dict[tuple, Optional[Tuple[LayerMapping, ...]]] = {}
         pending: Dict[tuple, List[int]] = {}
         scan_keys: List[tuple] = []

@@ -20,8 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.dataflow.cost_model import (layer_cost_cache_stats,
-                                       merge_layer_cost_entries)
+from repro.dataflow.cost_model import LAYER_COSTS
 from repro.dataflow.mapping import LayerMapping
 from repro.design import AuTDesign
 from repro.energy.environment import LightEnvironment
@@ -36,12 +35,13 @@ from repro.errors import (
 )
 from repro.explore.failures import FailureLog, FailureRecord, describe_genome
 from repro.explore.ga import GAConfig, GAHistory, GeneticAlgorithm, genome_key
-from repro.explore.mapper_search import MappingOptimizer, merge_mapper_entries
+from repro.explore.mapper_search import MAPPINGS, MappingOptimizer
 from repro.explore.objectives import Objective
 from repro.explore.pareto import ParetoPoint
 from repro.explore.space import DesignSpace, Genome
 from repro.explore.stats import GenomeOutcome, SearchStats
 from repro.hardware.checkpoint import CheckpointModel
+from repro.memo import merge_all
 from repro.obs.state import merge_snapshot, span
 from repro.sim.evaluator import ChrysalisEvaluator
 from repro.sim.metrics import InferenceMetrics
@@ -125,10 +125,9 @@ class BilevelExplorer:
         #: never read).
         self._design_cache: Dict[tuple, AuTDesign] = {}
         # Whole SW-level search results live in the *process-wide*
-        # mapper memo (see repro.explore.mapper_search._MapperMemo),
-        # probed through self.mapper.  PR 2 kept an equivalent dict per
-        # explorer, which is why the bench never saw a mapper hit: every
-        # run builds a fresh explorer, so the memo died with it.
+        # mapper memo (repro.explore.mapper_search.MAPPINGS), probed
+        # through self.mapper.  A per-explorer dict would never hit:
+        # every run builds a fresh explorer, so the memo would die with it.
         self._mapper_hits = 0
         self._mapper_misses = 0
         self._design_cache_hits = 0
@@ -158,7 +157,7 @@ class BilevelExplorer:
 
     def _compute_outcome(self, genome: Genome) -> GenomeOutcome:
         started = time.monotonic()
-        layer_hits0, layer_misses0 = layer_cost_cache_stats()
+        layer_hits0, layer_misses0 = LAYER_COSTS.stats()
         mapper_hits0, mapper_misses0 = self._mapper_hits, self._mapper_misses
         score = math.inf
         design: Optional[AuTDesign] = None
@@ -196,7 +195,7 @@ class BilevelExplorer:
                         latency = (metrics.sustained_period
                                    or metrics.e2e_latency)
                         point = (design.energy.panel_area_cm2, latency)
-        layer_hits1, layer_misses1 = layer_cost_cache_stats()
+        layer_hits1, layer_misses1 = LAYER_COSTS.stats()
         return GenomeOutcome(
             score=score,
             design=design if math.isfinite(score) else None,
@@ -217,27 +216,18 @@ class BilevelExplorer:
             merge_snapshot(outcome.obs)
         self.stats.hw_evaluations += 1
         self.stats.eval_seconds += outcome.eval_seconds
-        mapper_hits = outcome.mapper_hits
-        mapper_misses = outcome.mapper_misses
-        layer_hits = outcome.layer_cost_hits
-        layer_misses = outcome.layer_cost_misses
-        if outcome.layer_cost_entries:
-            # Merge the worker's cache journal.  Entries the parent
-            # already held were worker-local misses that a serial run
-            # would have scored as hits; because outcomes are applied in
-            # submission order, reclassifying them pins the parallel
-            # hit/miss totals to the serial run's, key for key.
-            reclassified = merge_layer_cost_entries(outcome.layer_cost_entries)
-            layer_hits += reclassified
-            layer_misses -= reclassified
-        if outcome.mapper_entries:
-            reclassified = merge_mapper_entries(outcome.mapper_entries)
-            mapper_hits += reclassified
-            mapper_misses -= reclassified
-        self.stats.mapper_hits += mapper_hits
-        self.stats.mapper_misses += mapper_misses
-        self.stats.layer_cost_hits += layer_hits
-        self.stats.layer_cost_misses += layer_misses
+        # Merge the worker's memo journals (none in-process).  Entries
+        # the parent already held were worker-local misses that a serial
+        # run would have scored as hits; because outcomes are applied in
+        # submission order, reclassifying them pins the parallel hit/miss
+        # totals to the serial run's, key for key.
+        reclassified = merge_all(outcome.memo_entries)
+        layer_shift = reclassified.get(LAYER_COSTS.name, 0)
+        mapper_shift = reclassified.get(MAPPINGS.name, 0)
+        self.stats.mapper_hits += outcome.mapper_hits + mapper_shift
+        self.stats.mapper_misses += outcome.mapper_misses - mapper_shift
+        self.stats.layer_cost_hits += outcome.layer_cost_hits + layer_shift
+        self.stats.layer_cost_misses += outcome.layer_cost_misses - layer_shift
         if outcome.failure is not None:
             self.failures.records.append(outcome.failure)
             logger.warning("absorbed %s for candidate %s: %s",

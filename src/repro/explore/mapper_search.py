@@ -32,8 +32,9 @@ from repro.dataflow.mapping import LayerMapping
 from repro.dataflow.tiling import pick_intermittent_dim
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
-from repro.errors import ConfigurationError, MappingError
+from repro.errors import MappingError
 from repro.hardware.checkpoint import CheckpointModel
+from repro.memo import ContentMemo
 from repro.obs.state import OBS, span
 from repro.sim.analytical import AnalyticalModel
 from repro.workloads.layers import Layer
@@ -46,156 +47,23 @@ logger = logging.getLogger(__name__)
 _ABSENT = object()
 
 
-class _MapperMemo:
-    """Process-wide memo of whole SW-level search results.
+#: Process-wide memo of whole SW-level search results.  Keyed like the
+#: layer-cost memo: a hashable *prefix* — ``(network, environments,
+#: styles, checkpoint)``, everything that changes what
+#: :meth:`MappingOptimizer.optimize` would return — resolved once per
+#: optimizer to a bucket, then probed with the ``(EnergyDesign,
+#: InferenceDesign)`` genome projection.  Values are the full mapping
+#: tuple, or ``None`` for a projection whose SW-level search proved
+#: unmappable (caching the *failure* matters: the GA revisits hopeless
+#: corners).  Process scope, not explorer scope, is what lets repeat
+#: runs — the memoized bench mode, campaign re-runs, warm workers —
+#: actually hit: each run builds a fresh explorer, and the GA
+#: deduplicates identical genomes before fitness.
+MAPPINGS = ContentMemo("mapper", maxsize=8192)
 
-    Keyed like the layer-cost cache: a hashable *prefix* — ``(network,
-    environments, styles, checkpoint)``, everything that changes what
-    :meth:`MappingOptimizer.optimize` would return — resolved once per
-    optimizer to a per-prefix dict, then probed with the ``(EnergyDesign,
-    InferenceDesign)`` genome projection.  Values are the full mapping
-    tuple, or ``None`` for a projection whose SW-level search proved
-    unmappable (caching the *failure* matters: the GA revisits hopeless
-    corners).
-
-    This replaces PR 2's per-explorer ``_mapper_cache``, whose lifetime
-    was the bug behind ``mapper_hit_rate: 0.0`` in every bench mode:
-    the projection key was fine, but each run built a fresh explorer
-    (and the GA deduplicates identical genomes before fitness), so no
-    realistic population ever probed a warm dict.  Process scope makes
-    repeat runs — the memoized bench mode, campaign re-runs, warm
-    workers — actually hit.
-    """
-
-    def __init__(self, maxsize: int = 8192) -> None:
-        self.maxsize = maxsize
-        self.enabled = True
-        self.hits = 0
-        self.misses = 0
-        self._size = 0
-        self._maps: dict = {}
-        #: When a list, every organic insert is appended as
-        #: ``(prefix, key, mappings)`` — drained per genome by parallel
-        #: workers, merged back by the parent (same protocol as the
-        #: layer-cost cache journal).
-        self.journal: Optional[list] = None
-
-    def map_for(self, prefix: tuple) -> dict:
-        entries = self._maps.get(prefix)
-        if entries is None:
-            entries = self._maps[prefix] = {}
-        return entries
-
-    def insert(self, prefix: tuple, entries: dict, key: tuple,
-               mappings: Optional[Tuple[LayerMapping, ...]],
-               record: bool = True) -> None:
-        entries[key] = mappings
-        self._size += 1
-        if record and self.journal is not None:
-            self.journal.append((prefix, key, mappings))
-        if self._size > self.maxsize:
-            self._flush()
-
-    def _flush(self) -> None:
-        for entries in self._maps.values():
-            entries.clear()
-        self._size = 0
-
-    def clear(self) -> None:
-        self._flush()
-        self._maps.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-
-_MAPPER_MEMO = _MapperMemo()
-
-
-def configure_mapper_memo(enabled: Optional[bool] = None,
-                          maxsize: Optional[int] = None) -> None:
-    """Tune the process-wide mapper memo (bench/testing hook)."""
-    if maxsize is not None:
-        if maxsize < 1:
-            raise ConfigurationError(
-                f"mapper memo maxsize must be positive, got {maxsize}"
-            )
-        _MAPPER_MEMO.maxsize = maxsize
-    if enabled is not None:
-        _MAPPER_MEMO.enabled = enabled
-
-
-def clear_mapper_memo() -> None:
-    """Drop all memoized SW-level searches, reset the counters."""
-    _MAPPER_MEMO.clear()
-
-
-def mapper_memo_enabled() -> bool:
-    """Whether the process-wide mapper memo is currently on."""
-    return _MAPPER_MEMO.enabled
-
-
-def mapper_memo_stats() -> Tuple[int, int]:
-    """``(hits, misses)`` of the process-wide mapper memo."""
-    return _MAPPER_MEMO.hits, _MAPPER_MEMO.misses
-
-
-def start_mapper_journal() -> None:
-    """Record every subsequent insert (worker-process hook)."""
-    _MAPPER_MEMO.journal = []
-
-
-def drain_mapper_journal() -> Tuple[tuple, ...]:
-    """Return and clear the recorded inserts, keeping recording on."""
-    journal = _MAPPER_MEMO.journal
-    if not journal:
-        return ()
-    entries = tuple(journal)
-    journal.clear()
-    return entries
-
-
-def snapshot_mapper_entries() -> Tuple[tuple, ...]:
-    """Every memo entry as ``(prefix, key, mappings)`` tuples."""
-    memo = _MAPPER_MEMO
-    return tuple(
-        (prefix, key, mappings)
-        for prefix, entries in memo._maps.items()
-        for key, mappings in entries.items()
-    )
-
-
-def seed_mapper_memo(entries: Sequence[tuple]) -> None:
-    """Insert-if-absent without touching the hit/miss counters."""
-    memo = _MAPPER_MEMO
-    if not memo.enabled:
-        return
-    for prefix, key, mappings in entries:
-        entry_map = memo.map_for(prefix)
-        if key not in entry_map:
-            memo.insert(prefix, entry_map, key, mappings, record=False)
-
-
-def merge_mapper_entries(entries: Sequence[tuple]) -> int:
-    """Merge worker journal entries; return how many were already held.
-
-    Mirror of :func:`repro.dataflow.cost_model.merge_layer_cost_entries`:
-    the return value is the number of worker misses a serial run would
-    have scored as hits, so the caller reclassifies exactly that many.
-    """
-    memo = _MAPPER_MEMO
-    already_present = 0
-    if not memo.enabled:
-        return already_present
-    for prefix, key, mappings in entries:
-        entry_map = memo.map_for(prefix)
-        if key in entry_map:
-            already_present += 1
-        else:
-            memo.insert(prefix, entry_map, key, mappings, record=False)
-    return already_present
+configure_mapper_memo = MAPPINGS.configure
+clear_mapper_memo = MAPPINGS.clear
+mapper_memo_stats = MAPPINGS.stats
 
 
 class MappingOptimizer:
@@ -218,7 +86,7 @@ class MappingOptimizer:
         #: -genome probe is a single dict lookup.
         self._memo_prefix = (self.network, self.environments, self.styles,
                              self.checkpoint)
-        self._memo_map = _MAPPER_MEMO.map_for(self._memo_prefix)
+        self._memo_map = MAPPINGS.bucket(self._memo_prefix)
 
     # -- public API -----------------------------------------------------------
 
@@ -229,13 +97,13 @@ class MappingOptimizer:
         ``hit`` distinguishes a memoized unmappable result (``True,
         None``) from a projection never searched (``False, None``).
         """
-        if not _MAPPER_MEMO.enabled:
+        if not MAPPINGS.enabled:
             return False, None
         value = self._memo_map.get(key, _ABSENT)
         if value is _ABSENT:
-            _MAPPER_MEMO.misses += 1
+            MAPPINGS.misses += 1
             return False, None
-        _MAPPER_MEMO.hits += 1
+        MAPPINGS.hits += 1
         return True, value
 
     def memo_note_hit(self) -> None:
@@ -249,16 +117,16 @@ class MappingOptimizer:
         scalar and batched modes — the process-wide counters are what
         mixed batched/scalar runs (and the serving layer) report from.
         """
-        if _MAPPER_MEMO.enabled:
-            _MAPPER_MEMO.hits += 1
+        if MAPPINGS.enabled:
+            MAPPINGS.hits += 1
 
     def memo_fill(self, key: tuple,
                   mappings: Optional[Tuple[LayerMapping, ...]]) -> None:
         """Memoize one SW-level search result (insert-if-absent)."""
-        if not _MAPPER_MEMO.enabled:
+        if not MAPPINGS.enabled:
             return
         if key not in self._memo_map:
-            _MAPPER_MEMO.insert(self._memo_prefix, self._memo_map, key,
+            MAPPINGS.insert(self._memo_prefix, self._memo_map, key,
                                 mappings)
 
     def optimize(self, energy: EnergyDesign,

@@ -26,24 +26,24 @@ Design constraints, all in the name of serial/parallel bit-equality:
 
 Workers are initialized once per process with a picklable
 :class:`WorkerSpec` and build their own explorer (with process-local
-caches); per-task payloads are just genomes.
+memos, seeded from the parent's and journaled back per genome through
+:mod:`repro.memo`); per-task payloads are just genomes.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import Executor, ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.dataflow import cost_model as _cost_cache
 from repro.energy.environment import LightEnvironment
 from repro.errors import ConfigurationError
-from repro.explore import mapper_search as _mapper_memo
 from repro.explore.objectives import Objective
 from repro.explore.space import DesignSpace, Genome
 from repro.explore.stats import GenomeOutcome
 from repro.hardware.checkpoint import CheckpointModel
+from repro.memo import drain_all, seed_and_journal, snapshot_all
 from repro.obs import state as obs_state
 from repro.workloads.network import Network
 
@@ -67,12 +67,11 @@ class WorkerSpec:
     #: so workers record (and ship back) the same telemetry.
     obs_enabled: bool = False
     obs_profile: bool = False
-    #: Snapshots of the parent's layer-cost cache and mapper memo at
-    #: pool creation.  On a warm start (second run in one process) they
-    #: stop every worker from re-missing keys the parent already holds;
-    #: on a cold start they are simply empty.
-    layer_cost_seed: Tuple[tuple, ...] = ()
-    mapper_seed: Tuple[tuple, ...] = ()
+    #: The parent's memo entries at pool creation, by memo name
+    #: (:func:`repro.memo.snapshot_all`).  On a warm start (second run
+    #: in one process) they stop every worker from re-missing keys the
+    #: parent already holds; on a cold start they are simply empty.
+    memo_seed: Dict[str, Tuple[tuple, ...]] = field(default_factory=dict)
 
     @classmethod
     def from_explorer(cls, explorer: "BilevelExplorer") -> "WorkerSpec":
@@ -85,8 +84,7 @@ class WorkerSpec:
             candidate_time_budget_s=explorer.candidate_time_budget_s,
             obs_enabled=obs_state.OBS.enabled,
             obs_profile=obs_state.OBS.profile,
-            layer_cost_seed=_cost_cache.snapshot_layer_cost_entries(),
-            mapper_seed=_mapper_memo.snapshot_mapper_entries(),
+            memo_seed=snapshot_all(),
         )
 
     def build(self) -> "BilevelExplorer":
@@ -109,13 +107,10 @@ _WORKER: Optional["BilevelExplorer"] = None
 def _init_worker(spec: WorkerSpec) -> None:
     global _WORKER
     _WORKER = spec.build()
-    # Warm the process-local caches with the parent's state, then start
+    # Warm the process-local memos with the parent's state, then start
     # journaling so every insert this worker makes ships home inside its
     # GenomeOutcome (seeded entries are not journaled — no echo).
-    _cost_cache.seed_layer_cost_cache(spec.layer_cost_seed)
-    _mapper_memo.seed_mapper_memo(spec.mapper_seed)
-    _cost_cache.start_layer_cost_journal()
-    _mapper_memo.start_mapper_journal()
+    seed_and_journal(spec.memo_seed)
     if spec.obs_enabled:
         obs_state.enable(profile=spec.obs_profile)
 
@@ -132,8 +127,7 @@ def _compute_outcome(genome: Genome) -> GenomeOutcome:
             outcome = _WORKER.compute_outcome(genome)
         outcome.obs = scope.snapshot()
         obs_state.reset()
-    outcome.layer_cost_entries = _cost_cache.drain_layer_cost_journal()
-    outcome.mapper_entries = _mapper_memo.drain_mapper_journal()
+    outcome.memo_entries = drain_all()
     return outcome
 
 

@@ -18,7 +18,7 @@ bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.design import AuTDesign
@@ -31,12 +31,14 @@ class SearchStats:
 
     Cache semantics:
 
-    * ``layer_cost_*`` — the process-wide LRU over
-      ``(hardware, checkpoint, layer, mapping)`` tile costs
-      (:func:`repro.dataflow.cost_model.layer_cost_cache_stats`);
+    * ``layer_cost_*`` — the process-wide memo of ``(hardware,
+      checkpoint, layer, mapping)`` tile costs
+      (:data:`repro.dataflow.cost_model.LAYER_COSTS`), bounded by
+      flushing every entry on overflow rather than by LRU eviction;
     * ``mapper_*`` — the process-wide memo of whole SW-level mapping
-      searches, keyed by the canonical ``(EnergyDesign,
-      InferenceDesign)`` projection of a genome;
+      searches (:data:`repro.explore.mapper_search.MAPPINGS`), keyed by
+      the canonical ``(EnergyDesign, InferenceDesign)`` projection of a
+      genome;
     * ``design_cache_hits`` — reuses of a fully lowered design by
       genome key (e.g. the winner re-lowering at the end of ``run()``);
     * ``batched_*`` — work routed through the vectorized population
@@ -160,13 +162,14 @@ class GenomeOutcome:
     layer_cost_hits: int = 0
     layer_cost_misses: int = 0
     design_cache_hits: int = 0
-    #: Journal entries a worker process's caches recorded while this
-    #: genome evaluated — ``(prefix, key, value)`` tuples the parent
-    #: merges back (and uses to reclassify worker-local misses that a
-    #: serial run would have scored as hits).  Empty for in-process
-    #: evaluation, where the caches are already shared.
-    layer_cost_entries: Tuple[tuple, ...] = ()
-    mapper_entries: Tuple[tuple, ...] = ()
+    #: Journal entries a worker process's memos recorded while this
+    #: genome evaluated, by memo name (:func:`repro.memo.drain_all`;
+    #: memos with nothing to ship are absent) — ``(prefix, key, value)``
+    #: tuples the parent merges back with :func:`repro.memo.merge_all`,
+    #: reclassifying worker-local misses that a serial run would have
+    #: scored as hits.  Empty for in-process evaluation, where the memos
+    #: are already shared.
+    memo_entries: Dict[str, Tuple[tuple, ...]] = field(default_factory=dict)
     #: Observability snapshot of the evaluation when it ran in a worker
     #: process with observability on (``None`` otherwise, so the common
     #: disabled path adds no pickle weight).  The parent merges it via

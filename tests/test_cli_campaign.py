@@ -1,4 +1,4 @@
-"""Tests for the ``campaign`` CLI group and ``search --json``."""
+"""Tests for the ``campaign`` CLI group and ``search --output``."""
 
 import json
 
@@ -93,7 +93,7 @@ class TestSearchJson:
                                                        capsys):
         path = tmp_path / "solution.json"
         assert main(["search", "har", "--population", "4",
-                     "--generations", "2", "--json", str(path)]) == 0
+                     "--generations", "2", "--output", str(path)]) == 0
         solution = solution_from_json(path.read_text())
         assert solution.design.mappings  # fully rehydrated
         assert solution.average_metrics.feasible

@@ -229,3 +229,42 @@ class TestObservabilityPropagation:
         s = serial["metrics"]["counters"]
         p = parallel["metrics"]["counters"]
         assert s.get("mapper.unmappable", 0) == p.get("mapper.unmappable", 0)
+
+
+class TestWarmStartSeeding:
+    def test_warm_workers_journal_nothing(self, monkeypatch):
+        """A second run's workers are seeded with every memo.
+
+        Workers are spawned, not forked, so they inherit no memo state
+        and only ``WorkerSpec.memo_seed`` can warm them.  Counter
+        equality cannot catch a memo left out of seeding, because the
+        parent reclassifies the extra worker misses as hits; an empty
+        journal on the warm run can.
+        """
+        import functools
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.explore import parallel
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+
+        def shipped_journals():
+            explorer = make_explorer(workers=2)
+            journals = []
+            apply_outcome = explorer.apply_outcome
+
+            def recording(genome, outcome):
+                journals.append(outcome.memo_entries)
+                return apply_outcome(genome, outcome)
+
+            explorer.apply_outcome = recording
+            explorer.run()
+            return journals
+
+        cold = shipped_journals()
+        warm = shipped_journals()
+        assert {name for entries in cold for name in entries} == {
+            "layer_cost", "mapper"}
+        assert warm and all(entries == {} for entries in warm)

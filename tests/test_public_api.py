@@ -113,18 +113,6 @@ class TestShims:
 
 
 class TestCliDeprecations:
-    def test_search_json_flag_warns_once(self):
-        from repro import cli
-
-        parser = cli.build_parser()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            args = parser.parse_args(["search", "har", "--json", "x.json"])
-        assert args.output == "x.json"
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert messages == ["--json is deprecated; use --output"]
-
     def test_search_output_flag_is_silent(self):
         from repro import cli
 
