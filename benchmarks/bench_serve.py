@@ -13,8 +13,8 @@ Two arms price the *same* request stream at each concurrency level —
   single evaluation thread: what callers get without the service;
 * ``serve``    — the same single evaluation thread behind
   :class:`repro.serve.EvaluationService`, which coalesces identical
-  in-flight requests and micro-batches the rest through the vectorized
-  analytical sweep —
+  in-flight requests and micro-batches the rest through grouped
+  analytical pricing —
 
 so the measured speedup isolates the serving architecture (coalescing +
 batching), not thread counts.  Both arms run with the process-wide

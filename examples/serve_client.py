@@ -4,9 +4,9 @@ Six callers submit at once — four distinct designs plus one design
 submitted twice more on purpose.  The service content-hashes every
 request, so the duplicates coalesce onto a single in-flight evaluation
 (watch ``coalesced`` in the stats line) and the distinct ones are
-priced together through one vectorized micro-batch instead of four
-scalar calls.  Responses are bit-identical to per-request
-``repro.evaluate``.
+priced together through one micro-batch (one ``evaluate_batch``
+call) instead of four separate evaluations.  Responses are
+bit-identical to per-request ``repro.evaluate``.
 
 Run:  PYTHONPATH=src python examples/serve_client.py
 

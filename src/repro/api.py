@@ -24,8 +24,8 @@ snapshot of the evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Optional, Sequence, Tuple, Union)
 
 from repro.core.scenarios import Scenario
 from repro.design import AuTDesign
@@ -36,7 +36,7 @@ from repro.hardware.checkpoint import CheckpointModel
 from repro.obs import state as obs_state
 from repro.sim.analytical import BatchAnalyticalModel
 from repro.sim.engine import SimulationResult
-from repro.sim.evaluator import ChrysalisEvaluator, _average_metrics
+from repro.sim.evaluator import ChrysalisEvaluator, average_environments
 from repro.sim.metrics import InferenceMetrics
 from repro.workloads import zoo
 from repro.workloads.network import Network
@@ -105,6 +105,29 @@ def _resolve_environments(
     return environment_by_name("paper")
 
 
+def _observed(obs: bool, run: Callable[[], Any], name: str,
+              **attrs: Any) -> Tuple[Any, Optional[Dict[str, Any]]]:
+    """``run()`` and the snapshot of its observability scope.
+
+    The snapshot is ``None`` when observability is off.  ``obs=True``
+    turns it on for the call only: the caller never asked for it, so
+    the residue the scope merged into the globals is dropped after.
+    """
+    enabled_here = obs and not obs_state.OBS.enabled
+    if enabled_here:
+        obs_state.enable(profile=True)
+    try:
+        if not obs_state.OBS.enabled:
+            return run(), None
+        with obs_state.run_scope(name, **attrs) as scope:
+            result = run()
+        return result, scope.snapshot()
+    finally:
+        if enabled_here:
+            obs_state.disable()
+            obs_state.reset()
+
+
 def evaluate(design: AuTDesign,
              workload: Union[str, Network],
              scenario: Optional[Union[str, Scenario]] = None,
@@ -171,22 +194,19 @@ def evaluate(design: AuTDesign,
         by_env: Dict[str, InferenceMetrics] = {}
         simulations: Optional[Dict[str, SimulationResult]] = (
             {} if fidelity == "step" else None)
-        average: Optional[InferenceMetrics] = None
-        for environment in envs:
-            if fidelity == "step":
-                result = evaluator.simulate(design, environment)
-                simulations[environment.name] = result
-                metrics = result.metrics
-            else:
-                metrics = evaluator.evaluate(design, environment)
-            by_env[environment.name] = metrics
-            if not metrics.feasible:
-                # The paper's protocol: one failing environment fails
-                # the design, and its marker metrics are the verdict.
-                average = metrics
-                break
-        if average is None:
-            average = _average_metrics(list(by_env.values()))
+
+        def per_environment() -> Iterator[InferenceMetrics]:
+            for environment in envs:
+                if fidelity == "step":
+                    result = evaluator.simulate(design, environment)
+                    simulations[environment.name] = result
+                    metrics = result.metrics
+                else:
+                    metrics = evaluator.evaluate(design, environment)
+                by_env[environment.name] = metrics
+                yield metrics
+
+        average = average_environments(per_environment())
         return EvaluationReport(
             design=design,
             workload=network.name,
@@ -196,24 +216,9 @@ def evaluate(design: AuTDesign,
             simulations=simulations,
         )
 
-    enabled_here = False
-    if obs and not obs_state.OBS.enabled:
-        obs_state.enable(profile=True)
-        enabled_here = True
-    try:
-        if obs_state.OBS.enabled:
-            with obs_state.run_scope("api.evaluate", workload=network.name,
-                                     fidelity=fidelity) as scope:
-                report = _run()
-            report.obs = scope.snapshot()
-        else:
-            report = _run()
-    finally:
-        if enabled_here:
-            # Leave no trace: the caller never turned observability on,
-            # so drop the residue the scope merged into the globals.
-            obs_state.disable()
-            obs_state.reset()
+    report, snapshot = _observed(obs, _run, "api.evaluate",
+                                 workload=network.name, fidelity=fidelity)
+    report.obs = snapshot
     return report
 
 
@@ -259,15 +264,13 @@ def evaluate_batch(designs: Sequence[AuTDesign],
         reports: List[EvaluationReport] = []
         for index, design in enumerate(designs):
             by_env: Dict[str, InferenceMetrics] = {}
-            average: Optional[InferenceMetrics] = None
-            for environment, env_metrics in zip(envs, metrics_by_env):
-                metrics = env_metrics[index]
-                by_env[environment.name] = metrics
-                if not metrics.feasible:
-                    average = metrics
-                    break
-            if average is None:
-                average = _average_metrics(list(by_env.values()))
+
+            def per_environment() -> Iterator[InferenceMetrics]:
+                for environment, env_metrics in zip(envs, metrics_by_env):
+                    by_env[environment.name] = env_metrics[index]
+                    yield env_metrics[index]
+
+            average = average_environments(per_environment())
             reports.append(EvaluationReport(
                 design=design,
                 workload=network.name,
@@ -278,25 +281,10 @@ def evaluate_batch(designs: Sequence[AuTDesign],
             ))
         return reports
 
-    enabled_here = False
-    if obs and not obs_state.OBS.enabled:
-        obs_state.enable(profile=True)
-        enabled_here = True
-    try:
-        if obs_state.OBS.enabled:
-            with obs_state.run_scope("api.evaluate_batch",
-                                     workload=network.name,
-                                     designs=len(designs)) as scope:
-                reports = _run()
-            snapshot = scope.snapshot()
-            for report in reports:
-                report.obs = snapshot
-        else:
-            reports = _run()
-    finally:
-        if enabled_here:
-            obs_state.disable()
-            obs_state.reset()
+    reports, snapshot = _observed(obs, _run, "api.evaluate_batch",
+                                  workload=network.name, designs=len(designs))
+    for report in reports:
+        report.obs = snapshot
     return reports
 
 
@@ -355,25 +343,10 @@ def evaluate_many(requests: Sequence[EvalRequest],
                 reports[i] = report
         return reports
 
-    enabled_here = False
-    if obs and not obs_state.OBS.enabled:
-        obs_state.enable(profile=True)
-        enabled_here = True
-    try:
-        if obs_state.OBS.enabled:
-            with obs_state.run_scope("api.evaluate_many",
-                                     requests=len(requests),
-                                     groups=len(groups)) as scope:
-                reports = _run()
-            snapshot = scope.snapshot()
-            for report in reports:
-                report.obs = snapshot
-        else:
-            reports = _run()
-    finally:
-        if enabled_here:
-            obs_state.disable()
-            obs_state.reset()
+    reports, snapshot = _observed(obs, _run, "api.evaluate_many",
+                                  requests=len(requests), groups=len(groups))
+    for report in reports:
+        report.obs = snapshot
     return reports
 
 

@@ -3,7 +3,9 @@
 :class:`VectorizedGenomeEvaluator` plugs into
 :class:`~repro.explore.ga.GeneticAlgorithm` as its ``batch_evaluator``
 (``GAConfig.batched``) and prices each generation's uncached genomes as
-numpy sweeps instead of one-candidate-at-a-time Python:
+one batch instead of one candidate at a time.  Only the SW-level
+mapping search is vectorized (numpy rung tables); every cost, energy
+term and Eq. 7 verdict comes from the scalar code:
 
 * genomes are grouped by their :class:`InferenceDesign` projection, so
   hardware is built once per distinct accelerator configuration;
@@ -24,14 +26,17 @@ numpy sweeps instead of one-candidate-at-a-time Python:
 * whole-design pricing goes through
   :class:`~repro.sim.analytical.BatchAnalyticalModel`, one call per
   environment for the entire generation, followed by the paper's
-  first-infeasible-environment averaging protocol per genome.
+  first-infeasible-environment averaging protocol per genome
+  (:func:`~repro.sim.evaluator.average_environments`).
 
 Bit-identity contract: scores, lowered designs, Pareto points, failure
 records and mapper hit/miss accounting are exactly what the serial
 scalar path produces for the same genomes — the selection mirrors the
-scalar scan's iteration order and strict-``<`` tie-breaking, and every
-float chain reuses either pure-Python arithmetic or the (bit-exact)
-batched models.  The scalar path stays available as the oracle: any
+scalar scan's iteration order and strict-``<`` tie-breaking, tile costs
+come from the one cost-model chain, and the rung tables' Eq. 8 test
+repeats :meth:`~repro.sim.analytical.EnergyTerms.available` elementwise
+on the same :func:`~repro.sim.analytical.energy_terms` values.  The
+scalar path stays available as the oracle: any
 :class:`~repro.errors.ChrysalisError` escaping the vectorized machinery
 drops the affected genomes back to ``BilevelExplorer.compute_outcome``
 (counted in ``SearchStats.scalar_fallbacks``).
@@ -61,8 +66,8 @@ from repro.explore.space import Genome
 from repro.explore.stats import GenomeOutcome
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import span
-from repro.sim.analytical import BatchAnalyticalModel
-from repro.sim.evaluator import _average_metrics
+from repro.sim.analytical import BatchAnalyticalModel, energy_terms
+from repro.sim.evaluator import average_environments
 from repro.sim.metrics import InferenceMetrics
 from repro.workloads.layers import Layer
 
@@ -159,7 +164,7 @@ def _price_alone(cost_model: DataflowCostModel, layer: Layer,
 
 
 class VectorizedGenomeEvaluator:
-    """Prices GA generations as numpy sweeps; scalar-oracle-identical.
+    """Prices GA generations in batches; scalar-oracle-identical.
 
     Satisfies the :class:`~repro.explore.ga.BatchEvaluator` protocol.
     In-process: the shared layer-cost cache and mapper memo are used
@@ -317,16 +322,8 @@ class VectorizedGenomeEvaluator:
                                             stage="hw-fitness")
                 design = None
             else:
-                collected: List[InferenceMetrics] = []
-                final: Optional[InferenceMetrics] = None
-                for env_metrics in metrics_by_env:
-                    metrics = env_metrics[position]
-                    if not metrics.feasible:
-                        final = metrics
-                        break
-                    collected.append(metrics)
-                if final is None:
-                    final = _average_metrics(collected)
+                final = average_environments(
+                    env_metrics[position] for env_metrics in metrics_by_env)
                 score = explorer.objective.score(design, final)
                 if final.feasible and math.isfinite(final.e2e_latency):
                     latency = final.sustained_period or final.e2e_latency
@@ -450,18 +447,11 @@ class VectorizedGenomeEvaluator:
         buck = np.empty(count)
         net = np.empty((n_env, count))
         for g, design in enumerate(designs):
-            energy = design.energy
-            pmic = energy.pmic
-            # Pure Python on purpose: the ** must be CPython's pow for
-            # bit-identity with AnalyticalModel's properties.
-            stored[g] = 0.5 * energy.capacitance_f * (
-                pmic.v_on**2 - pmic.v_off**2)
-            buck[g] = pmic.buck_efficiency
-            leak = energy.k_cap * energy.capacitance_f * pmic.v_on**2
-            panel = energy.build_panel()
-            for e, environment in enumerate(self.environments):
-                p_eh = panel.power(environment.k_eh)
-                net[e, g] = pmic.charge_power(p_eh) - leak
+            terms = [energy_terms(design.energy, environment.k_eh)
+                     for environment in self.environments]
+            stored[g] = terms[0].stored
+            buck[g] = terms[0].buck
+            net[:, g] = [t.net for t in terms]
 
         results: List[List[LayerMapping]] = [[] for _ in range(count)]
         alive = np.arange(count)
@@ -539,7 +529,7 @@ def _feasible(budget: Tuple[np.ndarray, np.ndarray, np.ndarray],
 
     ``budget`` is ``(stored, buck, net)``: per genome the usable stored
     energy and buck efficiency, and per environment and genome the net
-    charging power — the terms ``AnalyticalModel.tile_feasible`` uses.
+    charging power — the terms :meth:`EnergyTerms.tile_feasible` uses.
     """
     stored, buck, net = budget
     spread = (...,) + (None,) * tile_energy.ndim

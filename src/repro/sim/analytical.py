@@ -13,24 +13,136 @@ The analytical model prices a full design point without stepping time:
 
 It is the inner-loop scorer of the explorer; the step simulator
 (:mod:`repro.sim.engine`) validates its fidelity in integration tests.
+
+Each closed form exists once: :func:`energy_terms` (Eqs. 1-3) and
+:func:`evaluate_plan` (Eqs. 7-8) serve both :class:`AnalyticalModel`
+and :class:`BatchAnalyticalModel`, which differs only in pricing the
+plans of many designs with grouped cost-model calls.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
-
-import numpy as np
+from functools import cached_property
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.dataflow.cost_model import DataflowCostModel, LayerCost
 from repro.dataflow.mapping import LayerMapping
-from repro.design import AuTDesign
+from repro.design import AuTDesign, EnergyDesign
 from repro.energy.environment import LightEnvironment
+from repro.energy.pmic import PowerManagementIC
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import OBS, span
 from repro.sim.metrics import EnergyBreakdown, InferenceMetrics
 from repro.workloads.layers import Layer
 from repro.workloads.network import Network
+
+
+class EnergyTerms(NamedTuple):
+    """Energy-side closed forms of one design in one environment."""
+
+    #: Harvested power, W (Eq. 1).
+    p_eh: float
+    #: Capacitor leakage power at the on-threshold, W (Eq. 2 x U).
+    leak: float
+    #: Power actually accumulating in storage, W.
+    net: float
+    #: ``1/2 C (U_on^2 - U_off^2)``: one energy cycle's stored energy, J.
+    stored: float
+    #: PMIC buck-converter efficiency.
+    buck: float
+
+    def available(self, execution_time: float = 0.0) -> float:
+        """Rail-side energy of one cycle lasting ``execution_time``, J."""
+        topping = self.net * execution_time
+        return (self.stored + max(topping, 0.0)) * self.buck
+
+    def tile_feasible(self, cost: LayerCost) -> bool:
+        """Eq. 8: one tile must fit one energy cycle (incl. its harvest)."""
+        tile = cost.tile
+        return tile.energy <= self.available(tile.total_time)
+
+
+def energy_terms(energy: EnergyDesign, k_eh: float) -> EnergyTerms:
+    """Eqs. 1-3 for ``energy`` under harvest intensity ``k_eh``."""
+    pmic = energy.pmic
+    p_eh = energy.build_panel().power(k_eh)
+    leak = energy.k_cap * energy.capacitance_f * pmic.v_on**2
+    return EnergyTerms(
+        p_eh=p_eh,
+        leak=leak,
+        net=pmic.charge_power(p_eh) - leak,
+        stored=0.5 * energy.capacitance_f * (pmic.v_on**2 - pmic.v_off**2),
+        buck=pmic.buck_efficiency,
+    )
+
+
+def evaluate_plan(terms: EnergyTerms, pmic: PowerManagementIC,
+                  plan: Sequence[LayerCost]) -> InferenceMetrics:
+    """Eqs. 7-8 for one design's priced ``plan`` in one environment.
+
+    The checks run in a fixed order — starved harvest, then Eq. 8 layer
+    by layer, then a non-positive effective charge power — and the first
+    that fails is the verdict.  ``plan`` is not read when the harvest is
+    starved.
+    """
+    if terms.net <= 0.0:
+        return InferenceMetrics.infeasible(
+            "leakage and PMIC losses consume the entire harvest"
+        )
+    breakdown = EnergyBreakdown()
+    busy_time = 0.0
+    for cost in plan:
+        if not terms.tile_feasible(cost):
+            return InferenceMetrics.infeasible(
+                f"layer {cost.layer_name!r}: one tile exceeds the "
+                f"energy cycle (Eq. 8) with N_tile={cost.n_tiles}"
+            )
+        breakdown.compute += cost.compute_energy
+        breakdown.vm += cost.n_tiles * cost.tile.vm_energy
+        breakdown.nvm += cost.n_tiles * cost.tile.nvm_energy
+        breakdown.static += cost.static_energy
+        breakdown.checkpoint += cost.checkpoint_energy
+        busy_time += cost.busy_time
+
+    rail_energy = breakdown.total
+    # Warm-start energy balance (matching the step simulator): the
+    # inference begins with one energy cycle banked in the capacitor;
+    # harvesting continues throughout execution; whatever is still
+    # missing must be recharged between tiles.
+    chain_efficiency = pmic.boost_efficiency * pmic.buck_efficiency
+    effective_power = (terms.p_eh * chain_efficiency
+                       - terms.leak * pmic.buck_efficiency)
+    if effective_power <= 0.0:
+        return InferenceMetrics.infeasible(
+            "effective charge power is non-positive"
+        )
+    banked = terms.available(0.0)
+    missing = rail_energy - banked - effective_power * busy_time
+    charge_time = max(missing, 0.0) / effective_power
+    e2e_latency = busy_time + charge_time
+    # Steady-state repetition period: between runs the bank must be
+    # restored too, so every joule — banked or not — is re-harvested.
+    sustained_period = max(rail_energy / effective_power, busy_time)
+
+    # E_eh is accounted over the sustained period (one full charge-
+    # and-execute cycle) so that system efficiency E_infer/E_eh is
+    # comparable across designs and bounded by the chain efficiency.
+    harvested = terms.p_eh * sustained_period
+    breakdown.cap_leakage = terms.leak * sustained_period
+    breakdown.conversion = harvested * (1.0 - chain_efficiency)
+
+    n_tiles_total = sum(cost.n_tiles for cost in plan)
+    return InferenceMetrics(
+        e2e_latency=e2e_latency,
+        busy_time=busy_time,
+        charge_time=charge_time,
+        energy=breakdown,
+        harvested_energy=harvested,
+        power_cycles=max(n_tiles_total, 1),
+        exceptions=0,
+        sustained_period=sustained_period,
+    )
 
 
 class AnalyticalModel:
@@ -51,22 +163,25 @@ class AnalyticalModel:
 
     # -- energy-side closed forms (Eqs. 1-3) ---------------------------------
 
+    @cached_property
+    def terms(self) -> EnergyTerms:
+        """The design's energy-side terms in this environment."""
+        return energy_terms(self.design.energy, self.environment.k_eh)
+
     @property
     def p_eh(self) -> float:
         """Harvested power, W (Eq. 1)."""
-        return self.design.energy.build_panel().power(self.environment.k_eh)
+        return self.terms.p_eh
 
     @property
     def leak_power(self) -> float:
         """Capacitor leakage power at the on-threshold, W (Eq. 2 x U)."""
-        energy = self.design.energy
-        return energy.k_cap * energy.capacitance_f * energy.pmic.v_on**2
+        return self.terms.leak
 
     @property
     def net_charge_power(self) -> float:
         """Power actually accumulating in storage, W."""
-        pmic = self.design.energy.pmic
-        return pmic.charge_power(self.p_eh) - self.leak_power
+        return self.terms.net
 
     def available_cycle_energy(self, execution_time: float = 0.0) -> float:
         """Rail-side energy available in one energy cycle, J (Eq. 3).
@@ -74,11 +189,7 @@ class AnalyticalModel:
         ``1/2 C (U_on^2 - U_off^2)`` through the buck, plus whatever is
         harvested (minus leakage) during ``execution_time``.
         """
-        energy = self.design.energy
-        pmic = energy.pmic
-        stored = 0.5 * energy.capacitance_f * (pmic.v_on**2 - pmic.v_off**2)
-        topping = self.net_charge_power * execution_time
-        return (stored + max(topping, 0.0)) * pmic.buck_efficiency
+        return self.terms.available(execution_time)
 
     # -- inference-side closed forms (Eqs. 4-6) -------------------------------------
 
@@ -95,8 +206,7 @@ class AnalyticalModel:
 
     def tile_feasible(self, cost: LayerCost) -> bool:
         """Eq. 8: one tile must fit one energy cycle (incl. its harvest)."""
-        tile = cost.tile
-        return tile.energy <= self.available_cycle_energy(tile.total_time)
+        return self.terms.tile_feasible(cost)
 
     def min_feasible_n_tiles(self, layer: Layer,
                              mapping: LayerMapping) -> Optional[int]:
@@ -159,85 +269,24 @@ class AnalyticalModel:
             return self._evaluate()
 
     def _evaluate(self) -> InferenceMetrics:
-        if self.net_charge_power <= 0.0:
-            return InferenceMetrics.infeasible(
-                "leakage and PMIC losses consume the entire harvest"
-            )
-        plan = self.plan()
-        breakdown = EnergyBreakdown()
-        busy_time = 0.0
-        for cost in plan:
-            if not self.tile_feasible(cost):
-                return InferenceMetrics.infeasible(
-                    f"layer {cost.layer_name!r}: one tile exceeds the "
-                    f"energy cycle (Eq. 8) with N_tile={cost.n_tiles}"
-                )
-            breakdown.compute += cost.compute_energy
-            breakdown.vm += cost.n_tiles * cost.tile.vm_energy
-            breakdown.nvm += cost.n_tiles * cost.tile.nvm_energy
-            breakdown.static += cost.static_energy
-            breakdown.checkpoint += cost.checkpoint_energy
-            busy_time += cost.busy_time
-
-        pmic = self.design.energy.pmic
-        rail_energy = breakdown.total
-        # Warm-start energy balance (matching the step simulator): the
-        # inference begins with one energy cycle banked in the capacitor;
-        # harvesting continues throughout execution; whatever is still
-        # missing must be recharged between tiles.
-        chain_efficiency = pmic.boost_efficiency * pmic.buck_efficiency
-        effective_power = (self.p_eh * chain_efficiency
-                           - self.leak_power * pmic.buck_efficiency)
-        if effective_power <= 0.0:
-            return InferenceMetrics.infeasible(
-                "effective charge power is non-positive"
-            )
-        banked = self.available_cycle_energy(0.0)
-        missing = rail_energy - banked - effective_power * busy_time
-        charge_time = max(missing, 0.0) / effective_power
-        e2e_latency = busy_time + charge_time
-        # Steady-state repetition period: between runs the bank must be
-        # restored too, so every joule — banked or not — is re-harvested.
-        sustained_period = max(rail_energy / effective_power, busy_time)
-
-        # E_eh is accounted over the sustained period (one full charge-
-        # and-execute cycle) so that system efficiency E_infer/E_eh is
-        # comparable across designs and bounded by the chain efficiency.
-        harvested = self.p_eh * sustained_period
-        breakdown.cap_leakage = self.leak_power * sustained_period
-        breakdown.conversion = harvested * (1.0 - chain_efficiency)
-
-        n_tiles_total = sum(cost.n_tiles for cost in plan)
-        return InferenceMetrics(
-            e2e_latency=e2e_latency,
-            busy_time=busy_time,
-            charge_time=charge_time,
-            energy=breakdown,
-            harvested_energy=harvested,
-            power_cycles=max(n_tiles_total, 1),
-            exceptions=0,
-            sustained_period=sustained_period,
-        )
+        terms = self.terms
+        # A starved design is rejected before any plan is priced.
+        plan = self.plan() if terms.net > 0.0 else ()
+        return evaluate_plan(terms, self.design.energy.pmic, plan)
 
 
 class BatchAnalyticalModel:
-    """Prices N ``(design, workload)`` pairs in one vectorized sweep.
+    """Prices N ``(design, workload)`` pairs with grouped plan pricing.
 
     One instance is bound to a ``(network, environment)`` pair and
     evaluates many :class:`AuTDesign` candidates at once: hardware is
-    built once per distinct :class:`InferenceDesign`, every layer's tile
-    costs are priced by a single
+    built once per distinct :class:`InferenceDesign`, and every layer's
+    tile costs are priced by a single
     :meth:`~repro.dataflow.cost_model.DataflowCostModel.layer_cost_batch`
-    call per group, and the Eq. 7 energy balance runs as elementwise
-    numpy arithmetic over the whole batch.
-
-    Bit-identity contract: for every design the returned
-    :class:`InferenceMetrics` equals ``AnalyticalModel(design, ...)
-    .evaluate()`` exactly — the float chains mirror the scalar code
-    operation for operation (same order, same masking semantics), every
-    ``**``-bearing per-design scalar is computed in pure Python before
-    entering an array, and the three infeasibility branches fire in the
-    scalar model's check order with the scalar model's messages.
+    call per group.  Eqs. 7-8 then run per design through
+    :func:`evaluate_plan`, the function :class:`AnalyticalModel` uses,
+    so every returned :class:`InferenceMetrics` equals
+    ``AnalyticalModel(design, ...).evaluate()`` by construction.
     """
 
     def __init__(self, network: Network, environment: LightEnvironment,
@@ -279,7 +328,7 @@ class BatchAnalyticalModel:
                 plans[index] = row
         return plans  # type: ignore[return-value]
 
-    # -- whole-inference evaluation (Eq. 7, batched) -----------------------------
+    # -- whole-inference evaluation (Eq. 7) -----------------------------------
 
     def evaluate_many(
         self, designs: Sequence[AuTDesign]
@@ -288,129 +337,12 @@ class BatchAnalyticalModel:
         designs = list(designs)
         if not designs:
             return []
-        return self.evaluate_plans(designs, self.plans(designs))
-
-    def evaluate_plans(
-        self,
-        designs: Sequence[AuTDesign],
-        plans: Sequence[Sequence[LayerCost]],
-    ) -> List[InferenceMetrics]:
-        """Vectorized Eq. 7 over pre-priced plans (one per design)."""
-        n = len(designs)
-        if n == 0:
-            return []
         k_eh = self.environment.k_eh
-        # Per-design energy-side scalars stay in pure Python: the ``**``
-        # in leak/stored must be CPython's pow to match the scalar path.
-        p_eh_list, leak_list, net_list = [], [], []
-        stored_list, buck_list, chain_list, effective_list = [], [], [], []
-        for design in designs:
-            energy = design.energy
-            pmic = energy.pmic
-            p_eh = energy.build_panel().power(k_eh)
-            leak = energy.k_cap * energy.capacitance_f * pmic.v_on**2
-            net = pmic.charge_power(p_eh) - leak
-            stored = 0.5 * energy.capacitance_f * (
-                pmic.v_on**2 - pmic.v_off**2)
-            chain = pmic.boost_efficiency * pmic.buck_efficiency
-            effective = p_eh * chain - leak * pmic.buck_efficiency
-            p_eh_list.append(p_eh)
-            leak_list.append(leak)
-            net_list.append(net)
-            stored_list.append(stored)
-            buck_list.append(pmic.buck_efficiency)
-            chain_list.append(chain)
-            effective_list.append(effective)
-        p_eh = np.array(p_eh_list)
-        leak = np.array(leak_list)
-        net = np.array(net_list)
-        stored = np.array(stored_list)
-        buck = np.array(buck_list)
-        chain = np.array(chain_list)
-        effective = np.array(effective_list)
-
-        # Eq. 8 per layer + breakdown accumulation, in network order.
-        # Each term is the exact Python expression the scalar loop adds
-        # (LayerCost fields are already Python floats), gathered into an
-        # array and accumulated with the same left-to-right order.
-        bad_layer = np.full(n, -1, dtype=np.int64)
-        compute = np.zeros(n)
-        vm = np.zeros(n)
-        nvm = np.zeros(n)
-        static = np.zeros(n)
-        ckpt = np.zeros(n)
-        busy = np.zeros(n)
-        for layer_index in range(len(self.network)):
-            costs = [plan[layer_index] for plan in plans]
-            tile_energy = np.array([c.tile.energy for c in costs])
-            tile_time = np.array([c.tile.total_time for c in costs])
-            # available_cycle_energy(tile_time), elementwise.
-            available = (stored + np.maximum(net * tile_time, 0.0)) * buck
-            infeasible_here = ~(tile_energy <= available) & (bad_layer < 0)
-            if infeasible_here.any():
-                bad_layer[infeasible_here] = layer_index
-            compute = compute + np.array([c.compute_energy for c in costs])
-            vm = vm + np.array(
-                [c.n_tiles * c.tile.vm_energy for c in costs])
-            nvm = nvm + np.array(
-                [c.n_tiles * c.tile.nvm_energy for c in costs])
-            static = static + np.array([c.static_energy for c in costs])
-            ckpt = ckpt + np.array([c.checkpoint_energy for c in costs])
-            busy = busy + np.array([c.busy_time for c in costs])
-
-        # rail = breakdown.total with cap_leakage/conversion still zero;
-        # mirrors (compute + vm + nvm) + (static + checkpoint + 0 + 0).
-        rail = (compute + vm + nvm) + (static + ckpt)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            banked = (stored + np.maximum(net * 0.0, 0.0)) * buck
-            missing = rail - banked - effective * busy
-            charge = np.maximum(missing, 0.0) / effective
-            e2e = busy + charge
-            sustained = np.maximum(rail / effective, busy)
-            harvested = p_eh * sustained
-            cap_leakage = leak * sustained
-            conversion = harvested * (1.0 - chain)
-
-        metrics: List[InferenceMetrics] = []
-        for i in range(n):
-            if net[i] <= 0.0:
-                metrics.append(InferenceMetrics.infeasible(
-                    "leakage and PMIC losses consume the entire harvest"
-                ))
-                continue
-            if bad_layer[i] >= 0:
-                cost = plans[i][bad_layer[i]]
-                metrics.append(InferenceMetrics.infeasible(
-                    f"layer {cost.layer_name!r}: one tile exceeds the "
-                    f"energy cycle (Eq. 8) with N_tile={cost.n_tiles}"
-                ))
-                continue
-            if effective[i] <= 0.0:
-                metrics.append(InferenceMetrics.infeasible(
-                    "effective charge power is non-positive"
-                ))
-                continue
-            breakdown = EnergyBreakdown(
-                compute=float(compute[i]),
-                vm=float(vm[i]),
-                nvm=float(nvm[i]),
-                static=float(static[i]),
-                checkpoint=float(ckpt[i]),
-                cap_leakage=float(cap_leakage[i]),
-                conversion=float(conversion[i]),
-            )
-            n_tiles_total = sum(cost.n_tiles for cost in plans[i])
-            metrics.append(InferenceMetrics(
-                e2e_latency=float(e2e[i]),
-                busy_time=float(busy[i]),
-                charge_time=float(charge[i]),
-                energy=breakdown,
-                harvested_energy=float(harvested[i]),
-                power_cycles=max(n_tiles_total, 1),
-                exceptions=0,
-                sustained_period=float(sustained[i]),
-            ))
-        return metrics
+        return [
+            evaluate_plan(energy_terms(design.energy, k_eh),
+                          design.energy.pmic, plan)
+            for design, plan in zip(designs, self.plans(designs))
+        ]
 
 
 def _next_tile_count(n: int, bound: int) -> int:

@@ -7,13 +7,15 @@ step-based simulator (faithful; validation and final reporting).
 
 The paper averages every search over two solar environments (brighter
 and darker) "to ensure the system is able to run in both environments";
-:meth:`ChrysalisEvaluator.evaluate_average` implements that protocol.
+:func:`average_environments` implements that protocol, for
+:meth:`ChrysalisEvaluator.evaluate_average`, :func:`repro.api.evaluate`
+and the batched paths alike.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.design import AuTDesign
 from repro.energy.controller import EnergyController
@@ -146,13 +148,9 @@ class ChrysalisEvaluator:
         the paper requires the system "to run in both environments".
         """
         with span("eval.average", mode=self.mode.value):
-            results = []
-            for environment in self.environments:
-                metrics = self.evaluate(design, environment)
-                if not metrics.feasible:
-                    return metrics
-                results.append(metrics)
-            return _average_metrics(results)
+            return average_environments(
+                self.evaluate(design, environment)
+                for environment in self.environments)
 
     # -- internals ------------------------------------------------------------------
 
@@ -162,12 +160,24 @@ class ChrysalisEvaluator:
                                checkpoint=self.checkpoint)
 
 
-def _average_metrics(results: Sequence[InferenceMetrics]) -> InferenceMetrics:
-    """Element-wise mean of feasible metric sets."""
+def average_environments(
+        metrics: Iterable[InferenceMetrics]) -> InferenceMetrics:
+    """The paper's protocol over per-environment ``metrics``.
+
+    The first infeasible environment is the verdict; otherwise the
+    element-wise mean.  ``metrics`` is consumed lazily and not past the
+    first infeasible entry, so a generator that prices environments on
+    demand prices none after it.
+    """
+    results = []
+    for entry in metrics:
+        if not entry.feasible:
+            return entry
+        results.append(entry)
     n = len(results)
     breakdown = results[0].energy.scaled(1.0 / n)
-    for metrics in results[1:]:
-        breakdown.add(metrics.energy.scaled(1.0 / n))
+    for entry in results[1:]:
+        breakdown.add(entry.energy.scaled(1.0 / n))
     return InferenceMetrics(
         e2e_latency=sum(m.e2e_latency for m in results) / n,
         busy_time=sum(m.busy_time for m in results) / n,

@@ -36,6 +36,10 @@ NETWORKS = {
     "har_cnn": zoo.har_cnn,
     "mnist_cnn": zoo.mnist_cnn,
     "cifar10_cnn": zoo.cifar10_cnn,
+    "mobilenet_tiny": zoo.mobilenet_tiny,
+    "bert_tiny": zoo.bert_tiny,
+    "resnet18": zoo.resnet18,
+    "kws_mlp": zoo.kws_mlp,
 }
 
 ENVIRONMENTS = {

@@ -7,7 +7,11 @@ via PEP 562 shims that warn exactly once per process and name their
 canonical new home.
 """
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -121,3 +125,16 @@ class TestCliDeprecations:
             warnings.simplefilter("error", DeprecationWarning)
             args = parser.parse_args(["search", "har", "--output", "x.json"])
         assert args.output == "x.json"
+
+
+class TestImportFootprint:
+    def test_import_does_not_load_numpy(self):
+        """The pricing chain is plain Python: importing the package must
+        not pay numpy's import time and memory."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import repro, sys; assert 'numpy' not in sys.modules"],
+            capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
