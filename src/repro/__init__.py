@@ -15,10 +15,8 @@ Quickstart::
     report = evaluate(solution.design, "har")     # re-price any design
     print(report.metrics.e2e_latency)
 
-The blessed surface is ``__all__`` below (~20 names; see docs/API.md).
-Everything previously re-exported here still imports — via lazy
-deprecation shims that warn once per name and point at the module the
-symbol now lives in.
+The blessed surface is ``__all__`` below (~30 names; see docs/API.md).
+Everything else is imported from the subsystem module it lives in.
 
 Package map
 -----------
@@ -35,9 +33,6 @@ Package map
 ``repro.api``        the single-entry :func:`evaluate` facade
 ``repro.serve``      always-on evaluation service (coalesce + batch)
 """
-
-import importlib
-import warnings
 
 from repro import obs, serve
 from repro.api import (FIDELITIES, EvalRequest, EvaluationReport, evaluate,
@@ -97,54 +92,3 @@ __all__ = [
     "serve",
     "zoo",
 ]
-
-# -- deprecation shims (PEP 562) ----------------------------------------------
-#
-# Names demoted from the top level in the API curation.  Each still
-# resolves — lazily — but emits one DeprecationWarning per process
-# naming its canonical home.
-
-_DEPRECATED = {
-    "CampaignReport": ("repro.campaign", "CampaignReport"),
-    "CampaignRunner": ("repro.campaign", "CampaignRunner"),
-    "RunKey": ("repro.campaign", "RunKey"),
-    "EvaluationMode": ("repro.sim.evaluator", "EvaluationMode"),
-    "FaultInjector": ("repro.faults", "FaultInjector"),
-    "ResilienceReport": ("repro.faults", "ResilienceReport"),
-    "ParetoExplorer": ("repro.explore.nsga2", "ParetoExplorer"),
-    "SCENARIOS": ("repro.core.scenarios", "SCENARIOS"),
-    "scenario_by_name": ("repro.core.scenarios", "scenario_by_name"),
-    "WorkloadMix": ("repro.sim.mix", "WorkloadMix"),
-    "early_exit_mix": ("repro.sim.mix", "early_exit_mix"),
-    "grid_sweep": ("repro.explore.sweeps", "grid_sweep"),
-    "sweep": ("repro.explore.sweeps", "sweep"),
-    "design_from_json": ("repro.serialize", "design_from_json"),
-    "design_to_json": ("repro.serialize", "design_to_json"),
-    "solution_from_dict": ("repro.serialize", "solution_from_dict"),
-    "solution_from_json": ("repro.serialize", "solution_from_json"),
-    "solution_to_dict": ("repro.serialize", "solution_to_dict"),
-    "solution_to_json": ("repro.serialize", "solution_to_json"),
-}
-
-_warned = set()
-
-
-def __getattr__(name):
-    try:
-        module_name, attribute = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    if name not in _warned:
-        _warned.add(name)
-        warnings.warn(
-            f"repro.{name} is deprecated; import it from "
-            f"{module_name} instead",
-            DeprecationWarning, stacklevel=2)
-    value = getattr(importlib.import_module(module_name), attribute)
-    globals()[name] = value  # cache: warn and resolve only once
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED))

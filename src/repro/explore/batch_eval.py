@@ -1,20 +1,21 @@
-"""Vectorized in-process evaluation of GA generations.
+"""Batched in-process evaluation of GA generations.
 
 :class:`VectorizedGenomeEvaluator` plugs into
 :class:`~repro.explore.ga.GeneticAlgorithm` as its ``batch_evaluator``
-(``GAConfig.batched``) and prices each generation's uncached genomes as
-one batch instead of one candidate at a time.  Only the SW-level
-mapping search is vectorized (numpy rung tables); every cost, energy
-term and Eq. 7 verdict comes from the scalar code:
+(``GAConfig.batched``).  A HW genome is priced in two steps: the
+SW-level mapping search, then the closed-form Eq. 7 evaluation.  Only
+the search gains from seeing a whole generation at once, so only the
+search is batched:
 
 * genomes are grouped by their :class:`InferenceDesign` projection, so
-  hardware is built once per distinct accelerator configuration;
-* the SW-level mapping search is replaced by lazy per-layer *rung
-  tables*.  Each ``(style, tile_dim, spatial_dim)`` combo of a layer
-  has one candidate *ladder* — the ``N_tile`` rungs the scalar
-  :class:`~repro.explore.mapper_search.MappingOptimizer` scans in order
-  — built once per layer, since it depends only on the layer and the
-  mapper.  A table, kept per hardware and reused across generations,
+  the scan builds hardware once per distinct accelerator configuration;
+* each group probes the mapper memo once per distinct projection, and
+  the projections it has not seen are resolved by one scan over lazy
+  per-layer *rung tables*.  Each ``(style, tile_dim, spatial_dim)``
+  combo of a layer has one candidate *ladder* — the ``N_tile`` rungs the
+  scalar :class:`~repro.explore.mapper_search.MappingOptimizer` scans in
+  order — built once per layer, since it depends only on the layer and
+  the mapper.  A table, kept per hardware and reused across generations,
   holds only each ladder's *priced prefix*;
 * the scan advances a hardware group rung by rung, like the scalar
   scan: each step prices the next rung of only those ladders where some
@@ -22,29 +23,33 @@ term and Eq. 7 verdict comes from the scalar code:
   :meth:`~repro.dataflow.cost_model.DataflowCostModel.layer_cost_batch`
   call per layer covering every pending ladder.  Eq. 8 feasibility,
   first-feasible tracking and the lowest-energy selection run as
-  boolean/argmin array operations over ``genomes x ladders``;
-* whole-design pricing goes through
-  :class:`~repro.sim.analytical.BatchAnalyticalModel`, one call per
-  environment for the entire generation, followed by the paper's
-  first-infeasible-environment averaging protocol per genome
-  (:func:`~repro.sim.evaluator.average_environments`).
+  boolean/argmin numpy operations over ``genomes x ladders``;
+* every genome's outcome then comes from
+  :meth:`~repro.explore.bilevel.BilevelExplorer.compute_outcome`, handed
+  the resolved mappings: lowering, pricing, scoring, Pareto points, the
+  time budget and failure records are the serial path's own code.
 
-Bit-identity contract: scores, lowered designs, Pareto points, failure
-records and mapper hit/miss accounting are exactly what the serial
-scalar path produces for the same genomes — the selection mirrors the
-scalar scan's iteration order and strict-``<`` tie-breaking, tile costs
-come from the one cost-model chain, and the rung tables' Eq. 8 test
-repeats :meth:`~repro.sim.analytical.EnergyTerms.available` elementwise
-on the same :func:`~repro.sim.analytical.energy_terms` values.  The
-scalar path stays available as the oracle: any
-:class:`~repro.errors.ChrysalisError` escaping the vectorized machinery
-drops the affected genomes back to ``BilevelExplorer.compute_outcome``
-(counted in ``SearchStats.scalar_fallbacks``).
+Identity contract: the scan returns exactly what
+``MappingOptimizer.optimize`` returns for the same projection — the
+selection mirrors the scalar scan's iteration order and strict-``<``
+tie-breaking, tile costs come from the one cost-model chain, and the
+rung tables' Eq. 8 test repeats
+:meth:`~repro.sim.analytical.EnergyTerms.available` elementwise on the
+same :func:`~repro.sim.analytical.energy_terms` values.  The scalar
+optimizer stays available as the oracle: a
+:class:`~repro.errors.ChrysalisError` escaping a group's scan sends that
+group's genomes through ``compute_outcome`` unresolved (counted in
+``SearchStats.scalar_fallbacks``).
 
-A rung is priced only when some genome's scalar scan would visit it,
-so the batched mode misses the layer-cost cache on no more rungs than
-the serial mode for the same genomes.  Cache *hits* differ by design:
-the tables answer repeat visits without probing the cache at all.
+Accounting matches the serial path: mapper memo hits and misses are
+counted probe for probe (a projection repeated within the generation is
+probed after the scan has filled the memo), the scan's layer-cost cache
+hits and misses go to :class:`~repro.explore.stats.SearchStats`, and its
+wall time is shared evenly among the genomes it resolved.  A rung is
+priced only when some genome's scalar scan would visit it, so the
+batched mode misses the layer-cost cache on no more rungs than the
+serial mode for the same genomes.  Cache *hits* differ by design: the
+tables answer repeat visits without probing the cache at all.
 """
 
 from __future__ import annotations
@@ -59,16 +64,13 @@ import numpy as np
 
 from repro.dataflow.cost_model import LAYER_COSTS, DataflowCostModel, LayerCost
 from repro.dataflow.mapping import LayerMapping
-from repro.errors import ChrysalisError, EvaluationTimeout, MappingError
-from repro.explore.bilevel import _CANDIDATE_ERRORS
-from repro.explore.mapper_search import MAPPINGS
+from repro.errors import ChrysalisError, MappingError
+from repro.explore.bilevel import ResolvedMappings
 from repro.explore.space import Genome
 from repro.explore.stats import GenomeOutcome
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import span
-from repro.sim.analytical import BatchAnalyticalModel, energy_terms
-from repro.sim.evaluator import average_environments
-from repro.sim.metrics import InferenceMetrics
+from repro.sim.analytical import energy_terms
 from repro.workloads.layers import Layer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -164,7 +166,7 @@ def _price_alone(cost_model: DataflowCostModel, layer: Layer,
 
 
 class VectorizedGenomeEvaluator:
-    """Prices GA generations in batches; scalar-oracle-identical.
+    """Prices GA generations with one mapping scan per hardware group.
 
     Satisfies the :class:`~repro.explore.ga.BatchEvaluator` protocol.
     In-process: the shared layer-cost cache and mapper memo are used
@@ -205,227 +207,96 @@ class VectorizedGenomeEvaluator:
 
     def _compute_outcomes(self, genomes: List[Genome]) -> List[GenomeOutcome]:
         explorer = self.explorer
+        stats = explorer.stats
         started = time.monotonic()
         layer_hits0, layer_misses0 = LAYER_COSTS.stats()
-        n = len(genomes)
-        outcomes: List[Optional[GenomeOutcome]] = [None] * n
-        fallback: List[int] = []
+        found, fallback = self._resolve(genomes)
+        layer_hits1, layer_misses1 = LAYER_COSTS.stats()
+        stats.layer_cost_hits += layer_hits1 - layer_hits0
+        stats.layer_cost_misses += layer_misses1 - layer_misses0
+        share = (time.monotonic() - started) / len(found) if found else 0.0
+        outcomes = []
+        for i, genome in enumerate(genomes):
+            resolved = found.get(i)
+            if resolved is not None:
+                resolved = resolved._replace(seconds=share)
+            outcomes.append(explorer.compute_outcome(genome,
+                                                     resolved=resolved))
+        stats.batched_sweeps += 1
+        stats.batched_genomes += len(genomes) - fallback
+        stats.scalar_fallbacks += fallback
+        return outcomes
 
-        # 1. Project every genome to its (energy, inference) key.  The
-        # same errors the scalar path absorbs per candidate are absorbed
-        # here with the same stage labels.
-        seeded: List[Optional["AuTDesign"]] = [None] * n
-        keys: List[Optional[tuple]] = [None] * n
+    # -- SW-level search, batched ---------------------------------------------
+
+    def _resolve(self, genomes: List[Genome]
+                 ) -> Tuple[Dict[int, ResolvedMappings], int]:
+        """Mappings per genome index, and how many genomes fell back.
+
+        A genome whose projection raises is left unresolved:
+        ``compute_outcome`` raises the same error again and records it
+        under the serial path's stage.  So is every genome of a group
+        whose scan raised, which is what counts as a fallback.
+        """
+        groups: Dict[object, List[Tuple[int, tuple, "AuTDesign"]]] = {}
         for i, genome in enumerate(genomes):
             try:
-                design = explorer.space.to_design(genome, self._seed_mappings)
-            except _CANDIDATE_ERRORS as error:
-                outcomes[i] = GenomeOutcome(
-                    score=math.inf,
-                    failure=explorer._failure(genome, error,
-                                              stage="sw-lowering"))
+                seeded = self.explorer.space.to_design(genome,
+                                                       self._seed_mappings)
+            except ChrysalisError:
                 continue
-            except ChrysalisError as error:
-                outcomes[i] = GenomeOutcome(
-                    score=math.inf,
-                    failure=explorer._failure(genome, error,
-                                              stage="hw-fitness"))
-                continue
-            seeded[i] = design
-            keys[i] = (design.energy, design.inference)
-
-        # 2. Group by hardware and resolve mappings (memo probe + one
-        # vectorized mapper sweep per group of unseen projections).
-        groups: Dict[object, List[int]] = {}
-        for i in range(n):
-            if seeded[i] is not None:
-                groups.setdefault(seeded[i].inference, []).append(i)
-        mappings_by_index: Dict[int, Optional[Tuple[LayerMapping, ...]]] = {}
-        probe_hits: Dict[int, bool] = {}
-        for inference, indices in groups.items():
+            groups.setdefault(seeded.inference, []).append(
+                (i, (seeded.energy, seeded.inference), seeded))
+        found: Dict[int, ResolvedMappings] = {}
+        fallback = 0
+        for inference, members in groups.items():
             try:
-                self._resolve_group(inference, indices, seeded, keys,
-                                    mappings_by_index, probe_hits)
+                found.update(self._resolve_group(inference, members))
             except ChrysalisError as error:
                 logger.warning(
-                    "batched mapper sweep failed (%s: %s); falling back to "
+                    "batched mapper scan failed (%s: %s); falling back to "
                     "scalar evaluation for %d genome(s)",
-                    type(error).__name__, error, len(indices))
-                for i in indices:
-                    probe_hits.pop(i, None)
-                    mappings_by_index.pop(i, None)
-                    fallback.append(i)
+                    type(error).__name__, error, len(members))
+                fallback += len(members)
+        return found, fallback
 
-        # 3. Lower the mappable genomes and price them — one batched
-        # analytical sweep per environment over the whole generation.
-        with_design: List[int] = []
-        designs: Dict[int, "AuTDesign"] = {}
-        for i in sorted(mappings_by_index):
-            mappings = mappings_by_index[i]
-            if mappings is None:
-                continue
-            try:
-                designs[i] = explorer.space.to_design(genomes[i], mappings)
-            except _CANDIDATE_ERRORS as error:
-                outcomes[i] = GenomeOutcome(
-                    score=math.inf,
-                    failure=explorer._failure(genomes[i], error,
-                                              stage="sw-lowering"))
-                mappings_by_index.pop(i)
-                continue
-            except ChrysalisError as error:
-                outcomes[i] = GenomeOutcome(
-                    score=math.inf,
-                    failure=explorer._failure(genomes[i], error,
-                                              stage="hw-fitness"))
-                mappings_by_index.pop(i)
-                continue
-            with_design.append(i)
-        metrics_by_env: List[List[InferenceMetrics]] = []
-        if with_design:
-            design_list = [designs[i] for i in with_design]
-            try:
-                for environment in self.environments:
-                    model = BatchAnalyticalModel(self.network, environment,
-                                                 explorer.checkpoint)
-                    metrics_by_env.append(model.evaluate_many(design_list))
-            except ChrysalisError as error:
-                logger.warning(
-                    "batched pricing failed (%s: %s); falling back to scalar "
-                    "evaluation for %d genome(s)",
-                    type(error).__name__, error, len(with_design))
-                for i in with_design:
-                    probe_hits.pop(i, None)
-                    mappings_by_index.pop(i, None)
-                    fallback.append(i)
-                with_design = []
-                metrics_by_env = []
+    def _resolve_group(self, inference: object,
+                       members: List[Tuple[int, tuple, "AuTDesign"]]
+                       ) -> Dict[int, ResolvedMappings]:
+        """Memo-probe one hardware group; scan the unseen projections.
 
-        # 4. Assemble outcomes: the first-infeasible-environment
-        # protocol, objective scoring, Pareto points and the per-genome
-        # time-budget check, mirroring BilevelExplorer._compute_outcome.
-        vector_count = n - len(fallback)
-        share = ((time.monotonic() - started) / vector_count
-                 if vector_count else 0.0)
-        budget = explorer.candidate_time_budget_s
-        for position, i in enumerate(with_design):
-            design: Optional["AuTDesign"] = designs[i]
-            score = math.inf
-            point: Optional[Tuple[float, float]] = None
-            failure = None
-            if budget is not None and share > budget:
-                timeout = EvaluationTimeout(
-                    f"candidate evaluation exceeded its "
-                    f"{budget:.3g} s budget"
-                )
-                failure = explorer._failure(genomes[i], timeout,
-                                            stage="hw-fitness")
-                design = None
-            else:
-                final = average_environments(
-                    env_metrics[position] for env_metrics in metrics_by_env)
-                score = explorer.objective.score(design, final)
-                if final.feasible and math.isfinite(final.e2e_latency):
-                    latency = final.sustained_period or final.e2e_latency
-                    point = (design.energy.panel_area_cm2, latency)
-            outcomes[i] = GenomeOutcome(
-                score=score,
-                design=design if math.isfinite(score) else None,
-                point=point,
-                failure=failure,
-            )
-        for i, mappings in mappings_by_index.items():
-            if mappings is None and outcomes[i] is None:
-                # Unmappable projection: infinite score, no failure
-                # record — exactly what lower_genome() returning None
-                # produces on the scalar path.
-                outcomes[i] = GenomeOutcome(score=math.inf)
-
-        # 5. Per-genome bookkeeping.  Mapper counters replay the scalar
-        # accounting probe-for-probe; the generation's layer-cost cache
-        # activity (rung tables + final pricing) is attributed to the
-        # first vectorized outcome — apply_outcome() only ever sums
-        # these deltas, so totals are what matters.
-        layer_hits1, layer_misses1 = LAYER_COSTS.stats()
-        layer_delta: Optional[Tuple[int, int]] = (
-            layer_hits1 - layer_hits0, layer_misses1 - layer_misses0)
-        for i in range(n):
-            outcome = outcomes[i]
-            if outcome is None:
-                continue
-            outcome.eval_seconds = share
-            if i in probe_hits:
-                if probe_hits[i]:
-                    outcome.mapper_hits = 1
-                else:
-                    outcome.mapper_misses = 1
-            if layer_delta is not None:
-                outcome.layer_cost_hits, outcome.layer_cost_misses = (
-                    layer_delta)
-                layer_delta = None
-
-        # 6. Scalar oracle fallback for anything the sweep could not
-        # price; compute_outcome re-does its own accounting from scratch.
-        for i in fallback:
-            outcomes[i] = explorer.compute_outcome(genomes[i])
-        explorer.stats.batched_sweeps += 1
-        explorer.stats.batched_genomes += vector_count
-        explorer.stats.scalar_fallbacks += len(fallback)
-        assert all(outcome is not None for outcome in outcomes)
-        return outcomes  # type: ignore[return-value]
-
-    # -- SW-level search, vectorized ------------------------------------------
-
-    def _resolve_group(self, inference: object, indices: List[int],
-                       seeded: List[Optional["AuTDesign"]],
-                       keys: List[Optional[tuple]],
-                       out_mappings: Dict[int, Optional[Tuple[LayerMapping,
-                                                              ...]]],
-                       probe_hits: Dict[int, bool]) -> None:
-        """Memo-probe one hardware group; sweep the unseen projections.
-
-        Counter semantics mirror the serial path exactly: the first
-        occurrence of an unseen key is a miss, later occurrences in the
-        same generation are hits (serially, the memo is filled before
-        they probe) — unless the memo is disabled, in which case every
-        genome is a miss and the scan result is merely shared.
+        The first occurrence of each projection probes the memo; the
+        misses are scanned together and filled in.  Repeats probe only
+        after that fill, so they count the hits the serial path counts —
+        unless the memo is disabled, in which case they miss and share
+        the group's result.
         """
-        explorer = self.explorer
-        memo_on = MAPPINGS.enabled
-        resolved: Dict[tuple, Optional[Tuple[LayerMapping, ...]]] = {}
-        pending: Dict[tuple, List[int]] = {}
-        scan_keys: List[tuple] = []
-        scan_designs: List["AuTDesign"] = []
-        for i in indices:
-            key = keys[i]
-            if key in resolved:
-                probe_hits[i] = memo_on
-                if memo_on:
-                    explorer.mapper.memo_note_hit()
-                out_mappings[i] = resolved[key]
+        mapper = self.explorer.mapper
+        found: Dict[int, ResolvedMappings] = {}
+        by_key: Dict[tuple, Optional[Tuple[LayerMapping, ...]]] = {}
+        unseen: Dict[tuple, Tuple[int, "AuTDesign"]] = {}
+        repeats: List[Tuple[int, tuple]] = []
+        for i, key, seeded in members:
+            if key in by_key or key in unseen:
+                repeats.append((i, key))
                 continue
-            if key in pending:
-                probe_hits[i] = memo_on
-                if memo_on:
-                    explorer.mapper.memo_note_hit()
-                pending[key].append(i)
-                continue
-            hit, mappings = explorer.mapper.memo_probe(key)
-            probe_hits[i] = hit
+            hit, mappings = mapper.memo_probe(key)
             if hit:
-                resolved[key] = mappings
-                out_mappings[i] = mappings
+                by_key[key] = mappings
+                found[i] = ResolvedMappings(True, mappings)
             else:
-                pending[key] = [i]
-                scan_keys.append(key)
-                scan_designs.append(seeded[i])  # type: ignore[arg-type]
-        if not scan_keys:
-            return
-        scanned = self._scan(inference, scan_designs)
-        for key, mappings in zip(scan_keys, scanned):
-            explorer.mapper.memo_fill(key, mappings)
-            for i in pending[key]:
-                out_mappings[i] = mappings
+                unseen[key] = (i, seeded)
+        if unseen:
+            scanned = self._scan(inference,
+                                 [seeded for _, seeded in unseen.values()])
+            for (key, (i, _)), mappings in zip(unseen.items(), scanned):
+                mapper.memo_fill(key, mappings)
+                by_key[key] = mappings
+                found[i] = ResolvedMappings(False, mappings)
+        for i, key in repeats:
+            hit, mappings = mapper.memo_probe(key)
+            found[i] = ResolvedMappings(hit, mappings if hit else by_key[key])
+        return found
 
     def _scan(self, inference: object, designs: List["AuTDesign"]
               ) -> List[Optional[Tuple[LayerMapping, ...]]]:

@@ -18,7 +18,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.dataflow.cost_model import LAYER_COSTS
 from repro.dataflow.mapping import LayerMapping
@@ -59,6 +59,20 @@ _CANDIDATE_ERRORS = (
     DesignSpaceError,
     EvaluationTimeout,
 )
+
+
+class ResolvedMappings(NamedTuple):
+    """A SW-level search result found outside ``lower_genome``.
+
+    ``hit`` and ``mappings`` are what the mapper memo probe (or the
+    search run on its miss) produced; ``seconds`` is the wall time
+    already spent finding them, charged to the candidate's evaluation
+    time and its time budget.
+    """
+
+    hit: bool
+    mappings: Optional[Tuple[LayerMapping, ...]]
+    seconds: float = 0.0
 
 
 @dataclass
@@ -130,7 +144,6 @@ class BilevelExplorer:
         # every run builds a fresh explorer, so the memo would die with it.
         self._mapper_hits = 0
         self._mapper_misses = 0
-        self._design_cache_hits = 0
 
     # -- fitness ---------------------------------------------------------------
 
@@ -144,19 +157,27 @@ class BilevelExplorer:
         """
         return self.apply_outcome(genome, self.compute_outcome(genome))
 
-    def compute_outcome(self, genome: Genome) -> GenomeOutcome:
+    def compute_outcome(self, genome: Genome, *,
+                        resolved: Optional[ResolvedMappings] = None
+                        ) -> GenomeOutcome:
         """Evaluate one genome without touching shared search state.
 
         This is the function worker processes run: every side effect the
         serial path would have applied (failure records, Pareto points,
         cache warming) is returned as data for :meth:`apply_outcome` to
-        replay in deterministic order.
+        replay in deterministic order.  ``resolved`` hands in a mapping
+        search already done elsewhere (the batched evaluator's group
+        scan); ``None`` runs the SW-level search here.
         """
         with span("search.genome"):
-            return self._compute_outcome(genome)
+            return self._compute_outcome(genome, resolved)
 
-    def _compute_outcome(self, genome: Genome) -> GenomeOutcome:
+    def _compute_outcome(self, genome: Genome,
+                         resolved: Optional[ResolvedMappings]
+                         ) -> GenomeOutcome:
         started = time.monotonic()
+        if resolved is not None:
+            started -= resolved.seconds
         layer_hits0, layer_misses0 = LAYER_COSTS.stats()
         mapper_hits0, mapper_misses0 = self._mapper_hits, self._mapper_misses
         score = math.inf
@@ -164,7 +185,7 @@ class BilevelExplorer:
         point: Optional[Tuple[float, float]] = None
         failure: Optional[FailureRecord] = None
         try:
-            design = self.lower_genome(genome)
+            design = self.lower_genome(genome, resolved=resolved)
             if design is not None:
                 metrics = self.evaluator.evaluate_average(design)
         except _CANDIDATE_ERRORS as error:
@@ -257,25 +278,33 @@ class BilevelExplorer:
             stage=stage,
         )
 
-    def lower_genome(self, genome: Genome) -> Optional[AuTDesign]:
+    def lower_genome(self, genome: Genome, *,
+                     resolved: Optional[ResolvedMappings] = None
+                     ) -> Optional[AuTDesign]:
         """Run the SW-level search for a genome; ``None`` if unmappable.
 
         Memoized on the genome's canonical ``(energy, inference)``
         projection: two genomes that lower to the same hardware reuse
-        the whole mapper result.
+        the whole mapper result.  A ``resolved`` search result skips the
+        memo probe and the search, but is counted the same way.
         """
-        seed_mappings = tuple(
-            LayerMapping.default(layer) for layer in self.network
-        )
-        seeded = self.space.to_design(genome, seed_mappings)
-        key = (seeded.energy, seeded.inference)
-        hit, mappings = self.mapper.memo_probe(key)
+        if resolved is None:
+            seed_mappings = tuple(
+                LayerMapping.default(layer) for layer in self.network
+            )
+            seeded = self.space.to_design(genome, seed_mappings)
+            key = (seeded.energy, seeded.inference)
+            hit, mappings = self.mapper.memo_probe(key)
+            if not hit:
+                mappings = self.mapper.optimize(seeded.energy,
+                                                seeded.inference)
+                self.mapper.memo_fill(key, mappings)
+        else:
+            hit, mappings = resolved.hit, resolved.mappings
         if hit:
             self._mapper_hits += 1
         else:
             self._mapper_misses += 1
-            mappings = self.mapper.optimize(seeded.energy, seeded.inference)
-            self.mapper.memo_fill(key, mappings)
         if mappings is None:
             return None
         return self.space.to_design(genome, mappings)
@@ -320,7 +349,7 @@ class BilevelExplorer:
         Subclasses override this to interpose on generation evaluation
         (the surrogate-guided explorer wraps the evaluator returned
         here); the default selection is workers > 1 -> process pool,
-        ``batched`` -> vectorized sweeps, else serial.
+        ``batched`` -> grouped mapping scans, else serial.
         """
         if self.ga_config.workers > 1:
             # Imported lazily: parallel.py imports this module.
@@ -383,7 +412,6 @@ class BilevelExplorer:
             )
         design = self._design_cache.get(genome_key(best_genome))
         if design is not None:
-            self._design_cache_hits += 1
             self.stats.design_cache_hits += 1
         else:
             design = self.lower_genome(best_genome)

@@ -61,13 +61,15 @@ class GAConfig:
     #: N > 1 evaluates each generation's uncached genomes concurrently
     #: (generation-synchronous, so results are identical to serial).
     workers: int = 1
-    #: Vectorized in-process evaluation: each generation's uncached
-    #: genomes are priced as one numpy sweep
+    #: Batched in-process evaluation: each generation's uncached
+    #: genomes share one SW-level mapping scan per accelerator
+    #: configuration
     #: (:class:`repro.explore.batch_eval.VectorizedGenomeEvaluator`),
     #: bit-identical to the scalar path.  Mutually exclusive with
-    #: ``workers > 1`` — the sweep already amortizes what the pool
-    #: parallelizes, and combining them would interleave two different
-    #: cache-accounting protocols.
+    #: ``workers > 1``: the scan shares the in-process rung tables and
+    #: mapper memo directly, while pool workers keep local caches whose
+    #: journals the parent merges back, and the two accounting
+    #: protocols do not compose.
     batched: bool = False
 
     def __post_init__(self) -> None:

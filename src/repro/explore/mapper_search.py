@@ -106,20 +106,6 @@ class MappingOptimizer:
         MAPPINGS.hits += 1
         return True, value
 
-    def memo_note_hit(self) -> None:
-        """Count a hit served without a dict probe.
-
-        The vectorized evaluator resolves duplicate projections within
-        one generation from its local scan state instead of re-probing
-        the memo (the fill happens after the sweep).  Serially those
-        probes would all have been memo hits, so noting them here keeps
-        :func:`mapper_memo_stats` identical probe-for-probe across the
-        scalar and batched modes — the process-wide counters are what
-        mixed batched/scalar runs (and the serving layer) report from.
-        """
-        if MAPPINGS.enabled:
-            MAPPINGS.hits += 1
-
     def memo_fill(self, key: tuple,
                   mappings: Optional[Tuple[LayerMapping, ...]]) -> None:
         """Memoize one SW-level search result (insert-if-absent)."""

@@ -41,11 +41,12 @@ class SearchStats:
       genome;
     * ``design_cache_hits`` — reuses of a fully lowered design by
       genome key (e.g. the winner re-lowering at the end of ``run()``);
-    * ``batched_*`` — work routed through the vectorized population
+    * ``batched_*`` — work routed through the batched population
       evaluator (``GAConfig.batched``): sweeps is the number of
-      generation-sized numpy passes, genomes how many candidates they
-      priced, and ``scalar_fallbacks`` how many candidates dropped back
-      to the scalar oracle path (errors, or re-pricing one at a time);
+      generations it evaluated, genomes how many candidates it
+      evaluated without falling back, and ``scalar_fallbacks`` how many
+      fell back to the scalar mapping search because their hardware
+      group's scan raised;
     * ``surrogate_*`` — work routed through the surrogate-guided
       explorer (``repro.explore.guided``): ``surrogate_priced`` is how
       many candidates the ranking forwarded to full oracle pricing,
@@ -161,7 +162,6 @@ class GenomeOutcome:
     mapper_misses: int = 0
     layer_cost_hits: int = 0
     layer_cost_misses: int = 0
-    design_cache_hits: int = 0
     #: Journal entries a worker process's memos recorded while this
     #: genome evaluated, by memo name (:func:`repro.memo.drain_all`;
     #: memos with nothing to ship are absent) — ``(prefix, key, value)``

@@ -179,13 +179,15 @@ def assert_results_equal(a, b):
 
 class TestBatchedSearchIdentity:
     def test_batched_search_matches_serial(self):
-        serial = make_explorer().run()
-        clear_mapper_memo()  # both runs probe the process-wide memo cold
-        batched = make_explorer(batched=True).run()
+        # Both runs start from cold process-wide memos, so their
+        # layer-cost misses are comparable.
+        serial = cold_run(make_explorer())
+        batched = cold_run(make_explorer(batched=True))
         assert_results_equal(serial, batched)
         assert serial.stats.hw_evaluations == batched.stats.hw_evaluations
         assert serial.stats.mapper_hits == batched.stats.mapper_hits
         assert serial.stats.mapper_misses == batched.stats.mapper_misses
+        assert serial.stats.layer_cost_misses == batched.stats.layer_cost_misses
         assert batched.stats.batched_sweeps > 0
         assert batched.stats.batched_genomes > 0
         assert batched.stats.scalar_fallbacks == 0
@@ -306,6 +308,7 @@ class TestBatchedSearchIdentityFutureSpace:
         assert serial.stats.hw_evaluations == batched.stats.hw_evaluations
         assert serial.stats.mapper_hits == batched.stats.mapper_hits
         assert serial.stats.mapper_misses == batched.stats.mapper_misses
+        assert serial.stats.layer_cost_misses == batched.stats.layer_cost_misses
         assert batched.stats.batched_genomes > 0
         assert batched.stats.scalar_fallbacks == 0
 

@@ -2,9 +2,8 @@
 
 ``repro.__all__`` is the blessed surface: this file pins it exactly, so
 widening or shrinking the public API is always a reviewed, deliberate
-diff of the snapshot below.  The demoted names must keep importing —
-via PEP 562 shims that warn exactly once per process and name their
-canonical new home.
+diff of the snapshot below.  Names outside it are imported from their
+subsystem modules; the top level does not resolve them.
 """
 
 import os
@@ -54,8 +53,6 @@ PUBLIC_API = [
     "zoo",
 ]
 
-DEPRECATED = sorted(repro._DEPRECATED)
-
 
 class TestSurface:
     def test_all_matches_snapshot(self):
@@ -73,44 +70,8 @@ class TestSurface:
         exported = {k for k in namespace if not k.startswith("__")}
         assert exported == set(PUBLIC_API) - {"__version__"}
 
-    def test_no_overlap_between_blessed_and_deprecated(self):
-        assert not set(PUBLIC_API) & set(DEPRECATED)
-
-    def test_dir_lists_shims(self):
-        listing = dir(repro)
-        for name in DEPRECATED:
-            assert name in listing
-
 
 class TestShims:
-    @pytest.mark.parametrize("name", DEPRECATED)
-    def test_shim_resolves_to_canonical_object(self, name):
-        import importlib
-
-        module_name, attribute = repro._DEPRECATED[name]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            repro.__dict__.pop(name, None)  # force the __getattr__ path
-            value = getattr(repro, name)
-        canonical = getattr(importlib.import_module(module_name), attribute)
-        assert value is canonical
-
-    def test_shim_warns_exactly_once(self):
-        name = "WorkloadMix"
-        repro.__dict__.pop(name, None)
-        repro._warned.discard(name)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            getattr(repro, name)
-            # Cached after the first hit: no second warning, ever.
-            repro.__dict__.pop(name, None)
-            getattr(repro, name)
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert messages == [
-            "repro.WorkloadMix is deprecated; import it from "
-            "repro.sim.mix instead"]
-
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError, match="does_not_exist"):
             repro.does_not_exist

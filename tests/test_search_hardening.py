@@ -121,18 +121,26 @@ class TestBilevelHardening:
         # The error message carries the absorbed-failure histogram.
         assert "MappingError" in str(excinfo.value)
 
-    def test_candidate_time_budget_penalizes_slow_candidates(self):
-        explorer = BilevelExplorer(
-            network=zoo.har_cnn(),
-            space=DesignSpace.existing_aut(),
-            objective=Objective.lat_sp(),
-            ga_config=GAConfig(population_size=4, generations=2, seed=0),
-            candidate_time_budget_s=1e-12,
-        )
-        with pytest.raises(SearchError):
-            explorer.run()
-        assert len(explorer.failures) > 0
-        assert "EvaluationTimeout" in explorer.failures.by_family()
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_candidate_time_budget_penalizes_slow_candidates(self, batched):
+        def over_budget_search(batched):
+            explorer = BilevelExplorer(
+                network=zoo.har_cnn(),
+                space=DesignSpace.existing_aut(),
+                objective=Objective.lat_sp(),
+                ga_config=GAConfig(population_size=4, generations=2, seed=0,
+                                   batched=batched),
+                candidate_time_budget_s=1e-12,
+            )
+            with pytest.raises(SearchError):
+                explorer.run()
+            return [(r.candidate, r.family, r.stage)
+                    for r in explorer.failures.records]
+
+        records = over_budget_search(batched)
+        assert len(records) > 0
+        assert "EvaluationTimeout" in {family for _, family, _ in records}
+        assert records == over_budget_search(batched=False)
 
 
 class TestEvaluationBudgets:
